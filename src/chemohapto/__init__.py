@@ -64,6 +64,7 @@ from .condition import (
     CLASS_DIVERGED,
     CLASS_GROWING,
     CLASS_PLATEAU,
+    CLASS_UNCLASSIFIED,
     Classification,
     ThresholdReport,
     check_boundedness,
@@ -90,7 +91,7 @@ __all__ = [
     "gn_constant_estimate", "log_gn_check",
     "ThresholdReport", "Classification", "check_boundedness", "classify_run",
     "CASE_TAU0", "CASE_THRESHOLD", "CASE_NONE",
-    "CLASS_DIVERGED", "CLASS_GROWING", "CLASS_PLATEAU",
+    "CLASS_DIVERGED", "CLASS_GROWING", "CLASS_PLATEAU", "CLASS_UNCLASSIFIED",
     "ConfigError", "ICSpec", "RunConfig", "build_initial_data", "load_config",
     "read_field", "write_field", "read_series", "write_series",
     "read_report", "write_report",

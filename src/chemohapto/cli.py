@@ -21,7 +21,12 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .condition import check_boundedness, classify_run
+from .condition import (
+    CLASS_UNCLASSIFIED,
+    Classification,
+    check_boundedness,
+    classify_run,
+)
 from .config import (
     ConfigError,
     RunConfig,
@@ -79,18 +84,20 @@ def _run_report(cfg: RunConfig, result, threshold, classification) -> dict:
             "records": len(rec),
             "peak_linf_u": max(r.linf_u for r in rec) if rec else math.nan,
             "final_mass": rec[-1].mass if rec else math.nan,
-            "clipped_mass": rec[-1].clipped_mass if rec else math.nan,
+            "clipped_mass": result.clipped_mass,
         },
         "threshold": threshold.to_dict(),
         "classification": classification.to_dict(),
     }
 
 
-def _r_max_for(cfg: RunConfig) -> int:
-    kin = cfg.params.kinetics
-    if kin.name == "iterlog":
-        return max(3, int(kin.k) + 1)
-    return 3
+def _classify(result) -> Classification:
+    """classify_run, or the unclassified label for a history it rejects
+    (a run that ended with too few records); the artifacts are kept."""
+    try:
+        return classify_run(result)
+    except ValueError:
+        return Classification(CLASS_UNCLASSIFIED, math.nan)
 
 
 def cmd_run(args) -> int:
@@ -113,8 +120,8 @@ def cmd_run(args) -> int:
         return _fail(f"solver failed: {exc}", code=1)
     elapsed = time.time() - t0
 
-    threshold = check_boundedness(cfg.grid, cfg.params, ic, r_max=_r_max_for(cfg))
-    classification = classify_run(result)
+    threshold = check_boundedness(cfg.grid, cfg.params, ic)
+    classification = _classify(result)
 
     write_series(os.path.join(out, "series.csv"), result.records)
     if cfg.write_fields:
@@ -133,7 +140,7 @@ def cmd_run(args) -> int:
     print(f"run: {result.status}, {result.steps} steps to t={result.final.t:.6g} "
           f"({elapsed:.1f}s)")
     print(f"final: mass={last.mass:.9g} linf_u={last.linf_u:.6g} "
-          f"clipped={last.clipped_mass:.3g}")
+          f"clipped={result.clipped_mass:.3g}")
     print(f"condition: {threshold.case}; classification: {classification.label} "
           f"(plateau {classification.plateau:.4g})")
     print(f"artifacts in {out}/")
@@ -160,7 +167,7 @@ def cmd_check(args) -> int:
         ic.validate(cfg.grid, cfg.params.tau)
     except (ConfigError, InitialDataError, ValueError, OSError) as exc:
         return _fail(str(exc))
-    rep = check_boundedness(cfg.grid, cfg.params, ic, r_max=_r_max_for(cfg))
+    rep = check_boundedness(cfg.grid, cfg.params, ic)
     _print_threshold(rep)
     out = ensure_dir(cfg.out_dir)
     write_report(os.path.join(out, "report.json"),
@@ -410,8 +417,8 @@ def _sweep_point(arg) -> dict:
         ic.validate(cfg.grid, cfg.params.tau)
         result = run(cfg.grid, cfg.params, ic, cfg.t_end,
                      num=cfg.numerics, observe_interval=cfg.observe_every)
-        rep = check_boundedness(cfg.grid, cfg.params, ic, r_max=_r_max_for(cfg))
-        cls = classify_run(result)
+        rep = check_boundedness(cfg.grid, cfg.params, ic)
+        cls = _classify(result)
         pdir = ensure_dir(os.path.join(out_root, f"point_{idx:04d}"))
         write_series(os.path.join(pdir, "series.csv"), result.records)
         write_report(os.path.join(pdir, "report.json"),

@@ -21,6 +21,9 @@ from .kinetics import damping_rate_estimate, mass_cap
 from .solver import InitialData, ModelParams, RunResult
 
 MU_TOL = 1e-3
+# highest damping order whose default sample schedule is representable:
+# order r starts above e_tower(r), and e_tower(4) overflows a double
+R_MAX = 3
 
 CASE_TAU0 = "tau0_damping"
 CASE_THRESHOLD = "threshold_inequality"
@@ -56,7 +59,7 @@ def check_boundedness(
     grid: Grid,
     params: ModelParams,
     ic: InitialData,
-    r_max: int = 3,
+    r_max: int = R_MAX,
     mu_tol: float = MU_TOL,
 ) -> ThresholdReport:
     """Evaluate the boundedness condition for the given setup.
@@ -65,9 +68,10 @@ def check_boundedness(
     mu_r above mu_tol for r <= r_max), then the threshold inequality
     (chi - mu_1)^+ * M1 < 1 / (2 C^4); otherwise not_satisfied.
     not_satisfied means "no gate fired", not a blow-up certificate.
+    r_max may not exceed R_MAX = 3.
     """
-    if not isinstance(r_max, (int, np.integer)) or r_max < 1:
-        raise ValueError(f"r_max must be an integer >= 1, got {r_max}")
+    if not isinstance(r_max, (int, np.integer)) or not 1 <= r_max <= R_MAX:
+        raise ValueError(f"r_max must be an integer in [1, {R_MAX}], got {r_max}")
     ic.validate(grid, params.tau)
     kin = params.kinetics
     w_max = float(np.max(ic.w0))
@@ -107,6 +111,8 @@ def check_boundedness(
 CLASS_DIVERGED = "diverged"
 CLASS_GROWING = "growing"
 CLASS_PLATEAU = "bounded_plateau"
+# given by the command line to runs whose history classify_run rejects
+CLASS_UNCLASSIFIED = "unclassified"
 
 GROWTH_RATIO = 1.25
 

@@ -1,11 +1,16 @@
 """Kinetic source terms f(u, w) and their asymptotic threshold quantities.
 
-Every built-in variant satisfies a linear envelope f(s, w) <= cap_a - cap_b*s
-on s > 0, 0 <= w, recorded at construction; the envelope feeds the a-priori
-mass cap.  The damping-rate estimator measures how strongly -f dominates
-s^2 divided by a product of iterated logarithms, which is the quantity that
-separates bounded from potentially aggregating dynamics when the chemical
-responds instantaneously.
+Every built-in variant has the form f(s, w) = r*s*(a - w) - D(s), so it is
+nonincreasing in the adhesive level w (the Kinetics contract).  Hence the
+sup of f and the inf of -f over w in [0, w_max] both sit at w = 0, and the
+threshold quantities below evaluate f(s, 0) only.
+
+Every built-in variant also satisfies a linear envelope
+f(s, w) <= cap_a - cap_b*s on s > 0, 0 <= w, recorded at construction; the
+envelope feeds the a-priori mass cap.  The damping-rate estimator measures
+how strongly -f dominates s^2 divided by a product of iterated logarithms,
+which is the quantity that separates bounded from potentially aggregating
+dynamics when the chemical responds instantaneously.
 """
 
 from __future__ import annotations
@@ -94,8 +99,37 @@ def shifted_log_weight(m: int, z):
 # source-term variants
 
 
+def _damping(coef: float, safe, divisor, depths):
+    """coef * safe^2 / divisor, divisor = prod_{i in depths} of
+    iter_log(i, safe + e_tower(i - 1)) as evaluated directly.
+
+    The direct divisor rounds to exactly 0 once safe is lost next to a
+    shift (safe below ~1e-16), which makes the quotient inf or nan.  There
+    the factors are rebuilt from log1p steps, d_0 = safe,
+    d_j = log1p(d_{j-1} / e_tower(i - j)), and the quotient is taken in log
+    space; elsewhere the direct quotient is kept bit for bit.
+    """
+    damp = np.asarray(coef * safe * safe / divisor)
+    lost = ~(divisor > 0.0)
+    if np.any(lost):
+        s = safe[lost]
+        log_damp = math.log(coef) + 2.0 * np.log(s)
+        for i in depths:
+            d = s
+            for j in range(1, i + 1):
+                d = np.log1p(d / e_tower(i - j))
+            log_damp = log_damp - np.log(d)
+        damp[lost] = np.exp(log_damp)
+    return damp
+
+
 class Kinetics:
-    """Base class; subclasses implement f(s, w) vectorized over arrays."""
+    """Base class; subclasses implement f(s, w) vectorized over arrays.
+
+    Contract: f is nonincreasing in w on s >= 0, w >= 0, i.e.
+    f(s, w2) <= f(s, w1) whenever w2 >= w1.  mass_cap and
+    damping_rate_estimate rely on it to evaluate the source at w = 0 only.
+    """
 
     name = "base"
     #: linear envelope f(s, w) <= cap_a - cap_b * s (None for the zero source)
@@ -212,7 +246,7 @@ class LogLogSubLogistic(Kinetics):
         w = np.asarray(w, dtype=float)
         safe = np.maximum(s, 1e-300)
         with np.errstate(divide="ignore", invalid="ignore"):
-            damp = self.b * safe * safe / np.log(np.log(safe + math.e))
+            damp = _damping(self.b, safe, np.log(np.log(safe + math.e)), (2,))
         damp = np.where(s > 0.0, damp, 0.0)
         out = s * (self.a - w) - damp
         if np.ndim(s) == 0 and np.ndim(w) == 0:
@@ -256,8 +290,9 @@ class IteratedLogKinetics(Kinetics):
         s = np.asarray(s, dtype=float)
         w = np.asarray(w, dtype=float)
         safe = np.maximum(s, 1e-300)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            damp = self.mu * safe * safe / self._log_product(safe)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            damp = _damping(self.mu, safe, self._log_product(safe),
+                            range(1, self.k + 1))
         damp = np.where(s > 0.0, damp, 0.0)
         out = s * (1.0 - w) - damp
         if np.ndim(s) == 0 and np.ndim(w) == 0:
@@ -303,22 +338,18 @@ def make_kinetics(kind: str, **params) -> Kinetics:
 # linear envelope and mass cap
 
 
-def _sup_f_plus_eta(spec: Kinetics, eta: float, w_max: float = 0.0) -> float:
-    """sup over s > 0, w in [0, w_max] of f(s, w) + eta*s.
+def _sup_f_plus_eta(spec: Kinetics, eta: float) -> float:
+    """sup over s > 0, w >= 0 of f(s, w) + eta*s.
 
-    Finite whenever eta <= cap_b.  The w sweep is a plain grid scan (the
-    built-ins are monotone in w, but the scan keeps the routine generic);
-    the s sweep uses a log-spaced bracket that expands until the maximum
-    is interior and the tail decays, then a bounded 1D refinement.
+    Finite whenever eta <= cap_b.  By the Kinetics contract the sup over w
+    sits at w = 0; the s sweep uses a log-spaced bracket that expands until
+    the maximum is interior and the tail decays, then a bounded 1D
+    refinement.
     """
-    w_grid = np.linspace(0.0, w_max, 33) if w_max > 0 else np.array([0.0])
 
     def envelope(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        best = np.full(s.shape, -np.inf)
-        for w in w_grid:
-            best = np.maximum(best, spec.f(s, w) + eta * s)
-        return best
+        return spec.f(s, 0.0) + eta * s
 
     s_hi = 1e8
     for _ in range(12):
@@ -367,6 +398,11 @@ def _golden_min(fun, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 2
     return d, fd
 
 
+def _check_w_max(w_max: float) -> None:
+    if not (math.isfinite(w_max) and w_max >= 0):
+        raise ValueError(f"w_max must be finite and >= 0, got {w_max}")
+
+
 def mass_cap(spec: Kinetics, u0_mass: float, area: float, w_max: float = 0.0) -> float:
     """A-priori cap on the total cell mass integral.
 
@@ -374,6 +410,10 @@ def mass_cap(spec: Kinetics, u0_mass: float, area: float, w_max: float = 0.0) ->
     u0_mass + area * inf_{eta in (0, cap_b]} sup_{s, w} (f(s, w) + eta*s) / eta,
     with the correction term floored at zero.  The infimum is located by a
     coarse log-spaced scan refined with a golden-section search in log(eta).
+
+    w_max (the largest adhesive level, finite and >= 0) is validated but
+    does not change the result: by the Kinetics contract the sup over
+    w in [0, w_max] is attained at w = 0.
 
     The floor matters for sources that are negative for every s > 0 (the
     iterated-log family with k >= 2 dips to -mu*e_tower(k-1) near s = 0):
@@ -384,13 +424,14 @@ def mass_cap(spec: Kinetics, u0_mass: float, area: float, w_max: float = 0.0) ->
         raise ValueError(f"u0_mass must be nonnegative, got {u0_mass}")
     if area <= 0:
         raise ValueError(f"area must be positive, got {area}")
+    _check_w_max(w_max)
     if spec.is_zero:
         return float(u0_mass)
     b_cap = spec.cap_b
 
     def per_eta(log_eta):
         eta = math.exp(log_eta)
-        return _sup_f_plus_eta(spec, eta, w_max) / eta
+        return _sup_f_plus_eta(spec, eta) / eta
 
     log_hi = math.log(b_cap)
     log_lo = log_hi + math.log(1e-8)
@@ -433,7 +474,10 @@ def damping_rate_estimate(
 
     The sampled quantity is
         min_w (-f(s, w)) * prod_{i=1}^{r} iter_log(i, s) / s^2
-    over a geometric schedule in s.  The estimator inspects the tail half:
+    over a geometric schedule in s, the min taken over w in [0, w_max].
+    By the Kinetics contract it sits at w = 0, so w_max (finite, >= 0) is
+    validated but does not change the result.  The estimator inspects the
+    tail half:
 
     * monotone growth that is still gaining more than one percent across
       the tail (or values past the divergence threshold) reports math.inf;
@@ -444,6 +488,7 @@ def damping_rate_estimate(
 
     Zero sources give exactly 0.0.
     """
+    _check_w_max(w_max)
     if schedule is None:
         schedule = default_schedule(r)
     s = np.asarray(schedule, dtype=float)
@@ -457,10 +502,7 @@ def damping_rate_estimate(
     weight = np.ones_like(s)
     for i in range(1, r + 1):
         weight = weight * iter_log(i, s)
-    w_grid = np.linspace(0.0, w_max, 33) if w_max > 0 else np.array([0.0])
-    vals = np.full(s.shape, np.inf)
-    for w in w_grid:
-        vals = np.minimum(vals, -spec.f(s, w) * weight / (s * s))
+    vals = -spec.f(s, 0.0) * weight / (s * s)
 
     tail = vals[len(vals) // 2:]
     if np.all(tail == 0.0):

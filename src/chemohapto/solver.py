@@ -65,7 +65,6 @@ class Numerics:
     cfl_safety: float = 0.4
     dt_max: float = 1e-2
     overflow_guard: float = 1e12
-    pos_tol: float = 1e-12
     eps_u: float = 1e-30
     g_order: int = 1
 
@@ -151,7 +150,6 @@ class DerivedConstants:
 
     kappa: float
     w0_max: float
-    lambda1: float
 
     @classmethod
     def from_ic(cls, grid: Grid, ic: InitialData) -> "DerivedConstants":
@@ -160,7 +158,7 @@ class DerivedConstants:
             + 4.0 * ic.A
             + grid.norm(ic.w0, math.inf) / math.e
         )
-        return cls(kappa=kappa, w0_max=float(np.max(ic.w0)), lambda1=grid.lambda1())
+        return cls(kappa=kappa, w0_max=float(np.max(ic.w0)))
 
 
 @dataclass
@@ -343,6 +341,7 @@ class RunResult:
     status: str = "ok"
     diverged_t: Optional[float] = None
     steps: int = 0
+    clipped_mass: float = 0.0     # total removed by the clip, over every step
 
 
 def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
@@ -351,7 +350,8 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
 
     Diagnostics records are appended at t = 0, then whenever the time
     passes the next observation mark, and at the final time; a diverged
-    state exits early with its record included.
+    state exits early with its record included.  The mass removed by the
+    clip at zero is summed over every step, observed or not.
     """
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -374,6 +374,7 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
         prev = state
         state = step(grid, state, params, dt, num)
         result.steps += 1
+        result.clipped_mass += state.clipped_mass
         observe = state.t >= next_obs - tiny or state.t >= t_end - tiny
         if state.status != "ok":
             observe = True

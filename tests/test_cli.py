@@ -288,3 +288,70 @@ def test_sweep_axis_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "c")]) == 2
     err = capsys.readouterr().err
     assert "axis" in err
+
+
+# ---------------------------------------------------------------- regressions
+
+
+def _iterlog_k3(out):
+    return BASE.format(out=out).replace(
+        "kinetics = zero", "kinetics = iterlog\n\n[kinetics]\nk = 3\nmu = 1.0")
+
+
+def test_check_iterlog_k3_reports_orders_one_to_three(tmp_path, capsys):
+    # order k + 1 = 4 needs samples above e^[4], which overflows a double
+    out = str(tmp_path / "chk")
+    rc = cli_main(["check", write_ini(tmp_path, _iterlog_k3(out))])
+    assert rc == 0
+    assert "mu_3 = " in capsys.readouterr().out
+    rep = json.load(open(os.path.join(out, "report.json")))["threshold"]
+    assert len(rep["mu_r"]) == 3
+    assert abs(rep["mu_r"][2] - 1.0) <= 0.05
+    assert rep["case"] == "tau0_damping"
+
+
+def test_sweep_iterlog_k3_point_completes(tmp_path):
+    out = str(tmp_path / "sw")
+    cfg = write_ini(tmp_path, _iterlog_k3(out))
+    assert cli_main(["sweep", cfg, "--axis", "k=3:3:1"]) == 0
+    header, row = open(os.path.join(out, "sweep.csv")).read().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["error"] == ""
+    assert cells["case"] == "tau0_damping"
+
+
+def test_short_run_keeps_artifacts_and_is_unclassified(tmp_path):
+    # 6 records are too few for classify_run; the run must still be reported
+    out = tmp_path / "short"
+    body = BASE.format(out=out).replace(
+        "kinetics = zero", "kinetics = logistic\n\n[kinetics]\nmu = 1.0"
+    ).replace("t_end = 0.1", "t_end = 0.1\nobserve_every = 0.02")
+    cfg = write_ini(tmp_path, body)
+    assert cli_main(["run", cfg]) == 0
+    assert len(read_series(str(out / "series.csv"))["t"]) == 6
+    rep = json.load(open(out / "report.json"))
+    assert rep["classification"]["label"] == "unclassified"
+    assert np.isnan(rep["classification"]["plateau"])
+    assert rep["run"]["status"] == "ok"
+
+    sweep_out = str(tmp_path / "short-sweep")
+    assert cli_main(["sweep", cfg, "--axis", "chi=1:1:1", "--out", sweep_out]) == 0
+    header, row = open(os.path.join(sweep_out, "sweep.csv")).read().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["error"] == "" and cells["label"] == "unclassified"
+
+
+def test_report_clipped_mass_counts_unobserved_steps(tmp_path):
+    # mu * dt * (u - 1) = 4.5 > 1 drives the flat state u = 10 to
+    # 10 - 45 = -35 in the first step, which is not an observed one; the
+    # clip removes 35 from the unit square and nothing afterwards
+    out = tmp_path / "clip"
+    body = BASE.format(out=out).replace(
+        "kinetics = zero", "kinetics = logistic\n\n[kinetics]\nmu = 100.0"
+    ).replace("u_value = 1.0", "u_value = 10.0").replace(
+        "t_end = 0.1", "t_end = 0.1\nobserve_every = 0.1")
+    assert cli_main(["run", write_ini(tmp_path, body)]) == 0
+    series = read_series(str(out / "series.csv"))
+    assert np.all(series["clipped_mass"] == 0.0)
+    rep = json.load(open(out / "report.json"))
+    assert rep["run"]["clipped_mass"] == pytest.approx(35.0, rel=1e-12)

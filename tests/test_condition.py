@@ -91,6 +91,28 @@ def test_iterlog_needs_deep_enough_rate_scan():
     assert math.isinf(rep.mu_r[2])
 
 
+def test_iterlog_k3_takes_damping_case_at_order_three():
+    g = Grid(32, 32)
+    params = ModelParams(chi=1.0, xi=0.5, tau=0.0,
+                         kinetics=IteratedLogKinetics(3, 1.0))
+    rep = check_boundedness(g, params, bump_ic(g))
+    assert len(rep.mu_r) == 3
+    assert abs(rep.mu_r[2] - 1.0) <= 0.05
+    assert rep.case == CASE_TAU0
+
+
+def test_rate_orders_above_three_are_rejected_up_front():
+    # e_tower(4) overflows, so no order-4 schedule exists; the error must
+    # come before any condition input is computed
+    g = Grid(16, 16)
+    params = ModelParams(chi=1.0, xi=0.5, tau=0.0,
+                         kinetics=IteratedLogKinetics(3, 1.0))
+    bad_ic = InitialData(u0=-np.ones(g.shape), w0=np.zeros(g.shape))
+    for r_max in (4, 5, 0):
+        with pytest.raises(ValueError, match="r_max"):
+            check_boundedness(g, params, bad_ic, r_max=r_max)
+
+
 def test_report_dict_roundtrip_with_infinities():
     g = Grid(16, 16)
     params = ModelParams(chi=0.5, xi=0.0, tau=0.0,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chemohapto import (
     IteratedLogKinetics,
@@ -261,3 +263,40 @@ def test_damping_w_scan_infimum_at_zero():
     lo = damping_rate_estimate(kin, 1, w_max=0.0)
     hi = damping_rate_estimate(kin, 1, w_max=3.0)
     assert hi == lo and 0.9 <= lo <= 1.1
+
+
+# ---------------------------------------------------------------- w contract
+
+BUILTINS = (
+    ZeroKinetics(), LogisticKinetics(1.0), PowerSubLogistic(1, 1, 0.5),
+    LogLogSubLogistic(1, 1), IteratedLogKinetics(1, 1.0),
+    IteratedLogKinetics(2, 1.0), IteratedLogKinetics(3, 1.0),
+    IteratedLogKinetics(4, 1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(0.0, 1e8), w1=st.floats(0.0, 10.0), dw=st.floats(0.0, 10.0))
+@example(s=1e-200, w1=0.0, dw=0.5)     # iterated-log divisors round to 0 here
+def test_every_builtin_is_nonincreasing_in_w(s, w1, dw):
+    # the Kinetics contract that lets the threshold quantities use w = 0
+    for kin in BUILTINS:
+        assert kin.f(s, w1 + dw) <= kin.f(s, w1)
+
+
+def test_threshold_quantities_do_not_depend_on_w_max():
+    for kin in BUILTINS:
+        caps = [mass_cap(kin, 4.0, 1.0, w_max=wm) for wm in (0.0, 0.5, 3.0)]
+        assert caps[0] == caps[1] == caps[2]
+        for r in (1, 2, 3):
+            rates = [damping_rate_estimate(kin, r, w_max=wm) for wm in (0.0, 0.5, 3.0)]
+            assert rates[0] == rates[1] == rates[2]
+
+
+def test_w_max_must_be_finite_and_nonnegative():
+    kin = LogisticKinetics(1.0)
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="w_max"):
+            mass_cap(kin, 1.0, 1.0, w_max=bad)
+        with pytest.raises(ValueError, match="w_max"):
+            damping_rate_estimate(kin, 1, w_max=bad)

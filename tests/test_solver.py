@@ -227,6 +227,20 @@ def test_run_divergence_flag():
     assert res.records[-1].linf_u > 1e4
 
 
+def test_run_clipped_mass_is_cumulative():
+    # the flat state u = 10 under mu = 100 overshoots to 10 - 45 = -35 in
+    # the first step; only t = 0 and the final time are observed
+    g = Grid(16, 16)
+    params = ModelParams(chi=0.0, xi=0.0, tau=0.0,
+                         kinetics=LogisticKinetics(100.0))
+    ic = InitialData(u0=np.full(g.shape, 10.0), w0=np.zeros(g.shape), A=0.0)
+    res = run(g, params, ic, t_end=0.1, num=Numerics(dt_max=5e-3),
+              observe_interval=0.1)
+    assert len(res.records) == 2 and res.steps == 20
+    assert res.records[-1].clipped_mass == 0.0
+    assert res.clipped_mass == pytest.approx(35.0, rel=1e-12)
+
+
 def test_run_bitwise_deterministic():
     g = Grid(24, 24)
     params = ModelParams(chi=1.0, xi=0.5, tau=0.0,
