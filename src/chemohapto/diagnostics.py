@@ -191,15 +191,17 @@ class DiagnosticsRecord:
 
 def make_record(grid, params, state, consts, num, residual: float, dt: float) -> DiagnosticsRecord:
     u, v, w = state.u, state.v, state.w
+    u_pos = np.maximum(u, 0.0)
+    grad_v = grid.grad_magnitude(v)
     return DiagnosticsRecord(
         t=state.t,
         mass=grid.integrate(u),
         l2_u=grid.norm(u, 2),
         linf_u=grid.norm(u, math.inf),
-        entropy=entropy(grid, np.maximum(u, 0.0), num.eps_u),
-        g_m=g_functional(grid, np.maximum(u, 0.0), num.g_order),
-        grad_v_l4=grid.grad_norm(v, 4),
-        linf_grad_v=grid.grad_norm(v, math.inf),
+        entropy=entropy(grid, u_pos, num.eps_u),
+        g_m=g_functional(grid, u_pos, num.g_order),
+        grad_v_l4=grid.norm(grad_v, 4),
+        linf_grad_v=grid.norm(grad_v, math.inf),
         linf_grad_w=grid.grad_norm(w, math.inf),
         identity_residual=residual,
         delta_w_violation_max=matrix_decay_violation(

@@ -75,17 +75,23 @@ class Grid:
         Boundary faces carry zero difference by the mirror convention and
         are not stored.
         """
-        dx = np.diff(f, axis=0) / self.hx
-        dy = np.diff(f, axis=1) / self.hy
+        dx = f[1:, :] - f[:-1, :]
+        dx /= self.hx
+        dy = f[:, 1:] - f[:, :-1]
+        dy /= self.hy
         return dx, dy
 
     def _div(self, Fx: np.ndarray, Fy: np.ndarray) -> np.ndarray:
-        # Divergence of face fluxes with zero flux on boundary faces.
+        # Divergence of face fluxes with zero flux on boundary faces.  The
+        # fluxes are scaled in place (callers pass arrays they own): a fresh
+        # field-sized temporary costs its page faults again on every call.
         out = np.zeros((self.nx, self.ny))
-        out[:-1, :] += Fx / self.hx
-        out[1:, :] -= Fx / self.hx
-        out[:, :-1] += Fy / self.hy
-        out[:, 1:] -= Fy / self.hy
+        Fx /= self.hx
+        out[:-1, :] += Fx
+        out[1:, :] -= Fx
+        Fy /= self.hy
+        out[:, :-1] += Fy
+        out[:, 1:] -= Fy
         return out
 
     def laplacian_neumann(self, f: np.ndarray) -> np.ndarray:
@@ -94,7 +100,9 @@ class Grid:
         dx, dy = self.face_diff(f)
         return self._div(dx, dy)
 
-    def taxis_divergence(self, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    def taxis_divergence(self, u: np.ndarray, phi: np.ndarray,
+                         faces: tuple[np.ndarray, np.ndarray] | None = None,
+                         ) -> np.ndarray:
         """div(u grad(phi)) with donor-cell upwinding of the carrier u.
 
         The face velocity is the normal difference of phi over h; the face
@@ -102,13 +110,18 @@ class Grid:
         transport step positivity-friendly under the CFL bound.  Boundary
         fluxes vanish, so integrate(result) == 0 up to rounding, and for
         constant u the result coincides with laplacian_neumann(phi).
+
+        A caller that already holds face_diff(phi) passes it as faces; the
+        method then reads those arrays instead of differencing phi again.
         """
         self.check_shape(u)
         self.check_shape(phi)
-        ax, ay = self.face_diff(phi)
+        ax, ay = self.face_diff(phi) if faces is None else faces
         # donor cell: positive face velocity transports from the low side
-        Fx = np.maximum(ax, 0.0) * u[:-1, :] + np.minimum(ax, 0.0) * u[1:, :]
-        Fy = np.maximum(ay, 0.0) * u[:, :-1] + np.minimum(ay, 0.0) * u[:, 1:]
+        Fx = np.where(ax > 0.0, u[:-1, :], u[1:, :])
+        Fx *= ax
+        Fy = np.where(ay > 0.0, u[:, :-1], u[:, 1:])
+        Fy *= ay
         return self._div(Fx, Fy)
 
     # ------------------------------------------------------------------
@@ -136,13 +149,15 @@ class Grid:
         """
         self.check_shape(f)
         dx, dy = self.face_diff(f)
+        dx *= dx
+        dy *= dy
         gx2 = np.zeros((self.nx, self.ny))
-        gx2[:-1, :] += dx ** 2
-        gx2[1:, :] += dx ** 2
+        gx2[:-1, :] += dx
+        gx2[1:, :] += dx
         gx2 *= 0.5
         gy2 = np.zeros((self.nx, self.ny))
-        gy2[:, :-1] += dy ** 2
-        gy2[:, 1:] += dy ** 2
+        gy2[:, :-1] += dy
+        gy2[:, 1:] += dy
         gy2 *= 0.5
         return np.sqrt(gx2 + gy2)
 

@@ -105,13 +105,18 @@ _STOPS = np.array([
 ], dtype=float)
 
 
-def _color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    pos = t * (len(_STOPS) - 1)
-    i = min(int(pos), len(_STOPS) - 2)
-    frac = pos - i
-    rgb = _STOPS[i] * (1.0 - frac) + _STOPS[i + 1] * frac
-    return "#%02x%02x%02x" % tuple(int(round(c)) for c in rgb)
+# fill of cells whose value is nan or infinite; red is not on the map
+_NONFINITE_RGB = 0xFF0000
+
+
+def _colors(t: np.ndarray) -> np.ndarray:
+    """Map positions t (clipped to [0, 1]) to packed 0xRRGGBB integers;
+    the components round half to even."""
+    pos = np.clip(t, 0.0, 1.0) * (len(_STOPS) - 1)
+    i = np.minimum(pos.astype(int), len(_STOPS) - 2)
+    frac = (pos - i)[..., None]
+    rgb = np.rint(_STOPS[i] * (1.0 - frac) + _STOPS[i + 1] * frac).astype(int)
+    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
 
 
 def field_svg(grid: Grid, f: np.ndarray, title: str = "",
@@ -119,7 +124,9 @@ def field_svg(grid: Grid, f: np.ndarray, title: str = "",
     """Self-contained SVG heatmap of one field (inline rects, no deps).
 
     Fields finer than max_cells per axis are block-averaged first to keep
-    file sizes sane; the data range is printed under the title.
+    file sizes sane; the data range is printed under the title.  The range
+    covers the finite cells only; non-finite cells are painted red and
+    counted in the range line.
     """
     grid.check_shape(f)
     g = np.asarray(f, dtype=float)
@@ -130,8 +137,16 @@ def field_svg(grid: Grid, f: np.ndarray, title: str = "",
         tx, ty = (nx // sx) * sx, (ny // sy) * sy
         g = g[:tx, :ty].reshape(tx // sx, sx, ty // sy, sy).mean(axis=(1, 3))
     gnx, gny = g.shape
-    lo, hi = float(np.min(g)), float(np.max(g))
+    finite = np.isfinite(g)
+    values = g[finite]
+    lo, hi = math.nan, math.nan
+    if values.size:
+        lo, hi = float(np.min(values)), float(np.max(values))
     span = hi - lo if hi > lo else 1.0
+    fills = _colors(np.where(finite, (g - lo) / span, 0.0))
+    fills[~finite] = _NONFINITE_RGB
+    bad = g.size - values.size
+    note = f"; {bad} non-finite cells in red" if bad else ""
 
     w_px, h_px = 560, 560
     pad, head = 10, 34
@@ -144,18 +159,17 @@ def field_svg(grid: Grid, f: np.ndarray, title: str = "",
         f'<text x="{pad}" y="16" font-family="monospace" font-size="13">'
         f'{title}</text>',
         f'<text x="{pad}" y="30" font-family="monospace" font-size="11" '
-        f'fill="#555">range [{lo:.6g}, {hi:.6g}]</text>',
+        f'fill="#555">range [{lo:.6g}, {hi:.6g}]{note}</text>',
     ]
+    # SVG y grows downward; flip so j=0 sits at the bottom edge
+    ys = [f'{head + pad + (gny - 1 - j) * ch:.2f}' for j in range(gny)]
+    size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
     for i in range(gnx):
-        x = pad + i * cw
-        for j in range(gny):
-            # SVG y grows downward; flip so j=0 sits at the bottom edge
-            y = head + pad + (gny - 1 - j) * ch
-            c = _color((float(g[i, j]) - lo) / span)
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.5:.2f}" '
-                f'height="{ch + 0.5:.2f}" fill="{c}"/>'
-            )
+        x = f'{pad + i * cw:.2f}'
+        parts.extend(
+            f'<rect x="{x}" y="{y}" {size} fill="#{c:06x}"/>'
+            for y, c in zip(ys, fills[i].tolist())
+        )
     parts.append("</svg>")
     return "\n".join(parts)
 

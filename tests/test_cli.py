@@ -355,3 +355,27 @@ def test_report_clipped_mass_counts_unobserved_steps(tmp_path):
     assert np.all(series["clipped_mass"] == 0.0)
     rep = json.load(open(out / "report.json"))
     assert rep["run"]["clipped_mass"] == pytest.approx(35.0, rel=1e-12)
+
+
+def test_run_report_survives_non_finite_final_state(tmp_path, monkeypatch):
+    # a diverged run returns a non-finite final state; the heatmaps are
+    # written before report.json and must not crash on it
+    import chemohapto.cli as cli
+
+    real_run = cli.run
+
+    def diverging_run(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        result.final.u[3, 4] = np.nan
+        result.final.v[0, 0] = np.inf
+        result.status = result.final.status = "diverged"
+        result.diverged_t = result.final.t
+        return result
+
+    monkeypatch.setattr(cli, "run", diverging_run)
+    out = tmp_path / "nan"
+    body = BASE.format(out=out) + "fields = 1\nsvg = 1\n"
+    assert cli_main(["run", write_ini(tmp_path, body)]) == 0
+    rep = json.load(open(out / "report.json"))
+    assert rep["run"]["status"] == "diverged"
+    assert 'fill="#ff0000"' in (out / "u_final.svg").read_text()

@@ -1,0 +1,74 @@
+"""SVG heatmaps: byte-stable output and non-finite fields."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from chemohapto import Grid
+from chemohapto.io import field_svg
+
+
+def _svg_cases():
+    g = Grid(40, 24, 2.0, 1.2)
+    X, Y = g.mesh()
+    yield "smooth", g, X * (2.0 - X) + 0.5 * Y * Y, "smooth"
+    g = Grid(16, 12)
+    yield "random", g, np.random.default_rng(7).random(g.shape) * 3.0 - 1.0, "u(x, t=0.5)"
+    g = Grid(8, 8)
+    yield "constant", g, np.full(g.shape, 2.5), ""
+    # positions 0.125 .. 0.875 put colour components on exact .5 ties;
+    # 0.3125 and 0.8125 give ties that round down to an even integer
+    g = Grid(8, 4)
+    ties = np.array([0.0, 0.125, 0.3125, 0.375, 0.625, 0.8125, 0.875, 1.0] * 4)
+    yield "ties", g, ties.reshape(8, 4), "ties"
+    # finer than max_cells: block-averaged, with a ragged remainder dropped
+    g = Grid(300, 260)
+    yield "blocked", g, np.random.default_rng(11).random(g.shape), "w"
+
+
+# sha256 of the UTF-8 output, recorded from the scalar per-cell colour map
+# that the vectorized writer replaced
+SVG_SHA256 = {
+    "smooth": "382c7c15feff40c59f273384dc884da96d088f8d15954f2a66b69a9b62525756",
+    "random": "67f24eb6be6be81df7522efdf3476f66e48225ead0a74e9bcca8a25ea20375d6",
+    "constant": "514e58fd18c5035ccbf70f13539941641ef6c67e55e861103f81931f4fbfdfdd",
+    "ties": "11370c35a7895a75fc3dcd3c647c3f5af8162589ec4e3ca984c9a8476ecc742f",
+    "blocked": "94ef3c097150a4df4a74454e5d6dc8c7f7c6da1ccb6d37422ce886dbc50725eb",
+}
+
+
+@pytest.mark.parametrize("name,g,f,title", list(_svg_cases()),
+                         ids=[c[0] for c in _svg_cases()])
+def test_field_svg_bytes_are_stable(name, g, f, title):
+    svg = field_svg(g, f, title)
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == SVG_SHA256[name]
+
+
+def test_field_svg_ties_round_half_to_even():
+    g = Grid(4, 4)
+    f = np.zeros(g.shape)
+    f[0, 0], f[1, 0], f[2, 0] = 1.0, 0.125, 0.3125
+    svg = field_svg(g, f)
+    # 0.125: (63.5, 41.5, 111.5) -> (64, 42, 112); 0.3125: 52.5 -> 52
+    assert 'fill="#402a70"' in svg and 'fill="#34628b"' in svg
+
+
+def test_field_svg_paints_non_finite_cells():
+    g = Grid(8, 8)
+    rng = np.random.default_rng(3)
+    f = rng.random(g.shape) + 1.0
+    f[0, 0], f[7, 7] = 0.5, 3.0          # pin the finite range
+    f_bad = f.copy()
+    f_bad[2, 3], f_bad[5, 1] = np.nan, np.inf
+    ref = field_svg(g, f).splitlines()
+    got = field_svg(g, f_bad).splitlines()
+    assert got[3].endswith("range [0.5, 3]; 2 non-finite cells in red</text>")
+    changed = [i for i, (a, b) in enumerate(zip(ref, got)) if a != b]
+    # the range line and exactly the two non-finite cells differ
+    assert len(got) == len(ref) and len(changed) == 3
+    assert all('fill="#ff0000"' in got[i] for i in changed[1:])
+
+    everything_bad = field_svg(g, np.full(g.shape, -np.inf))
+    assert "range [nan, nan]; 64 non-finite cells in red" in everything_bad
+    assert everything_bad.count('fill="#ff0000"') == 64

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chemohapto import solver
 from chemohapto import (
     Grid,
     InitialData,
@@ -104,6 +107,37 @@ def test_elliptic_positivity():
         assert np.min(solve_elliptic_v(g, u)) >= -1e-13
 
 
+def test_corrupted_spectral_solve_raises(monkeypatch):
+    g = Grid(16, 16)
+    u = np.random.default_rng(8).random(g.shape) + 0.5
+    solve_elliptic_v(g, u)
+    exact = solver._NeumannSpectral.solve
+    monkeypatch.setattr(solver._NeumannSpectral, "solve",
+                        lambda self, b, c0, diff: exact(self, b, c0, diff) * (1.0 + 1e-6))
+    with pytest.raises(RuntimeError, match="residual"):
+        solve_elliptic_v(g, u)
+
+
+def test_non_finite_solve_input_raises():
+    g = Grid(16, 16)
+    u = np.ones(g.shape)
+    u[4, 4] = np.nan
+    with pytest.raises(RuntimeError, match="residual"):
+        solve_elliptic_v(g, u)
+
+
+def test_tol_below_rounding_floor_is_met_at_the_floor():
+    # at 256^2 the residual of (I - Lap) x = u cannot be evaluated below
+    # about eps * lam_max * ||x|| ~ 1e-10 ||x||; a tighter tol is accepted
+    # there instead of failing every solve on large grids
+    g = Grid(256, 256)
+    u = np.random.default_rng(4).random(g.shape)
+    v = solve_elliptic_v(g, u, tol=1e-14)
+    r = u - (v - g.laplacian_neumann(v))
+    floor = np.finfo(float).eps * (1.0 + solver._spectral(g).lam.max()) * np.linalg.norm(v)
+    assert 1e-14 * np.linalg.norm(u) < np.linalg.norm(r) <= floor
+
+
 # ---------------------------------------------------------------- stepping
 
 
@@ -118,6 +152,81 @@ def test_dt_cfl_formula():
     # vanishing gradients fall back to the cap
     flat = np.ones(g.shape)
     assert dt_cfl(g, params, flat, flat, dt_max=0.125) == 0.125
+
+
+def test_carried_face_speed_gives_the_dt_cfl_bound(monkeypatch):
+    g = Grid(32, 32)
+    params = ModelParams(chi=1.5, xi=0.75, tau=1.0, kinetics=LogisticKinetics(1.0))
+    ic = bump_ic(g, mass=4.0, sigma=0.08)
+    ic = InitialData(u0=ic.u0, w0=0.5 + 0.1 * ic.u0 / ic.u0.max(), v0=0.5 * ic.u0, A=50.0)
+    num = Numerics(dt_max=1.0)
+    st = initial_state(g, params, ic, num)
+    assert st.face_speed is None
+    for _ in range(8):
+        dt = dt_cfl(g, params, st.v, st.w, num.dt_max, num.cfl_safety)
+        st = step(g, st, params, dt, num)
+        for dt_max, safety in ((1.0, 0.4), (1.0, 0.1), (1e-6, 0.4)):
+            assert (solver._dt_from_speed(g, st.face_speed, dt_max, safety)
+                    == dt_cfl(g, params, st.v, st.w, dt_max, safety))
+
+    # run computes the bound from the fields only for the initial state
+    calls = []
+
+    def counting_dt_cfl(*args, **kwargs):
+        calls.append(args)
+        return dt_cfl(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "dt_cfl", counting_dt_cfl)
+    res = run(g, params, ic, t_end=0.01, num=Numerics(dt_max=1e-2))
+    assert res.steps > 3 and len(calls) == 1
+
+
+def _reference_step(g, state, params, dt, num):
+    # the split step spelled out with taxis_divergence, which takes its own
+    # face differences
+    u, v, w = state.u, state.v, state.w
+    if params.tau == 0.0:
+        v_new = solve_elliptic_v(g, u, num.elliptic_tol)
+        v_frozen = v_new
+    else:
+        v_new = solver._cg_helmholtz(g, (params.tau / dt) * v + u,
+                                     params.tau / dt + 1.0, 1.0, num.elliptic_tol)
+        v_frozen = 0.5 * (v + v_new)
+    w_new = w * np.exp(-dt * np.maximum(v_frozen, 0.0))
+    u_star = u - dt * (params.chi * g.taxis_divergence(u, v_new)
+                       + params.xi * g.taxis_divergence(u, w_new))
+    u_dd = solver._cg_helmholtz(g, u_star, 1.0, dt, num.elliptic_tol)
+    u_rx = u_dd
+    if not params.kinetics.is_zero:
+        u_rx = u_dd + dt * params.kinetics.f(np.maximum(u_dd, 0.0), w_new)
+    clipped = g.integrate(np.maximum(-u_rx, 0.0))
+    return np.maximum(u_rx, 0.0), v_new, w_new, clipped
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 20),
+       chi=st.floats(0.0, 5.0), xi=st.floats(0.0, 5.0),
+       tau=st.sampled_from([0.0, 0.5, 2.0]), mu=st.sampled_from([None, 1.0, 30.0]),
+       dt=st.floats(1e-5, 1e-2))
+def test_step_matches_reference_step_bitwise(seed, n, chi, xi, tau, mu, dt):
+    g = Grid(n, n + 3)
+    rng = np.random.default_rng(seed)
+    u = rng.random(g.shape) * 3.0
+    u[rng.random(g.shape) < 0.2] = 0.0
+    v = rng.random(g.shape)
+    w = np.round(rng.random(g.shape), 1)      # flat patches: zero face differences
+    kin = ZeroKinetics() if mu is None else LogisticKinetics(mu)
+    params = ModelParams(chi=chi, xi=xi, tau=tau, kinetics=kin)
+    num = Numerics()
+    state = solver.State(t=0.0, u=u, v=v, w=w)
+    new = step(g, state, params, dt, num)
+    u_ref, v_ref, w_ref, clipped_ref = _reference_step(g, state, params, dt, num)
+    assert new.u.tobytes() == u_ref.tobytes()
+    assert new.v.tobytes() == v_ref.tobytes()
+    assert new.w.tobytes() == w_ref.tobytes()
+    assert new.clipped_mass == clipped_ref
+    assert (solver._dt_from_speed(g, new.face_speed, 1.0, 0.4)
+            == dt_cfl(g, params, new.v, new.w, 1.0, 0.4))
 
 
 def test_homogeneous_state_is_stationary():
