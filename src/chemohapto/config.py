@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import copy
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -269,16 +270,8 @@ def build_run_config(sections: dict, origin: str = "<memory>", text: str = "") -
     tau = rd.real("model", "tau", required=True, lo=0.0)
     kind = rd.string("model", "kinetics", required=True,
                      choices=set(_KINETICS_TYPES))
-    kin_params = {}
-    _, names = _KINETICS_TYPES[kind.lower()]
-    for name in names:
-        raw = rd._raw("kinetics", name, None, required=False)
-        if raw is None:
-            raise ConfigError(
-                f"{origin}: kinetics '{kind}' requires kinetics.{name}"
-                f"{_locate(text, 'kinetics')}"
-            )
-        kin_params[name] = float(raw)
+    names = _KINETICS_TYPES[kind.lower()].PARAMS
+    kin_params = {name: rd.real("kinetics", name, required=True) for name in names}
     extra = set(sections.get("kinetics", {})) - set(names)
     if extra:
         raise ConfigError(
@@ -289,9 +282,9 @@ def build_run_config(sections: dict, origin: str = "<memory>", text: str = "") -
     try:
         kinetics = make_kinetics(kind, **kin_params)
     except (ValueError, OverflowError) as exc:
-        # longest name first so 'a' cannot shadow 'gamma' in the message
-        by_len = sorted(names, key=len, reverse=True)
-        key = next((n for n in by_len if n in str(exc)), names[0] if names else None)
+        # the parameter the message names as a word ('a' is in 'damping')
+        key = next((n for n in names if re.search(rf"\b{n}\b", str(exc))),
+                   names[0] if names else None)
         raise ConfigError(
             f"{origin}: kinetics.{key}: {exc}{_locate(text, 'kinetics', key)}"
         ) from exc
@@ -366,7 +359,7 @@ def load_config(path: str) -> RunConfig:
 
 
 def override(cfg: RunConfig, sec: str, key: str, value) -> RunConfig:
-    """New RunConfig with one raw value replaced; used by sweeps."""
+    """New RunConfig with one raw value replaced, revalidated as a whole."""
     sections = copy.deepcopy(cfg.sections)
     sections.setdefault(sec, {})[key] = repr(value) if not isinstance(value, str) else value
     return build_run_config(sections, origin=cfg.origin)

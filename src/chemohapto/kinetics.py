@@ -1,16 +1,13 @@
 """Kinetic source terms f(u, w) and their asymptotic threshold quantities.
 
-Every built-in variant has the form f(s, w) = r*s*(a - w) - D(s), so it is
-nonincreasing in the adhesive level w (the Kinetics contract).  Hence the
-sup of f and the inf of -f over w in [0, w_max] both sit at w = 0, and the
-threshold quantities below evaluate f(s, 0) only.
-
-Every built-in variant also satisfies a linear envelope
-f(s, w) <= cap_a - cap_b*s on s > 0, 0 <= w, recorded at construction; the
-envelope feeds the a-priori mass cap.  The damping-rate estimator measures
-how strongly -f dominates s^2 divided by a product of iterated logarithms,
-which is the quantity that separates bounded from potentially aggregating
-dynamics when the chemical responds instantaneously.
+Every source is a member of one family, class Kinetics, whose constructor
+makes f nonincreasing in the adhesive level w.  Hence the sup of f and the
+inf of -f over w in [0, w_max] both sit at w = 0, and the threshold
+quantities below (the mass cap and the damping rates) evaluate f(s, 0)
+only.  The damping-rate estimator measures how strongly -f dominates s^2
+divided by a product of iterated logarithms, which is the quantity that
+separates bounded from potentially aggregating dynamics when the chemical
+responds instantaneously.
 """
 
 from __future__ import annotations
@@ -96,55 +93,120 @@ def shifted_log_weight(m: int, z):
 
 
 # ----------------------------------------------------------------------
-# source-term variants
+# the source-term family
 
 
-def _damping(coef: float, safe, divisor, depths):
-    """coef * safe^2 / divisor, divisor = prod_{i in depths} of
-    iter_log(i, safe + e_tower(i - 1)) as evaluated directly.
-
-    The direct divisor rounds to exactly 0 once safe is lost next to a
-    shift (safe below ~1e-16), which makes the quotient inf or nan.  There
-    the factors are rebuilt from log1p steps, d_0 = safe,
-    d_j = log1p(d_{j-1} / e_tower(i - j)), and the quotient is taken in log
-    space; elsewhere the direct quotient is kept bit for bit.
-    """
-    damp = np.asarray(coef * safe * safe / divisor)
-    lost = ~(divisor > 0.0)
-    if np.any(lost):
-        s = safe[lost]
-        log_damp = math.log(coef) + 2.0 * np.log(s)
-        for i in depths:
-            d = s
-            for j in range(1, i + 1):
-                d = np.log1p(d / e_tower(i - j))
-            log_damp = log_damp - np.log(d)
-        damp[lost] = np.exp(log_damp)
-    return damp
+def _positive(what: str, value) -> float:
+    """value as a float; ValueError unless it is finite and > 0."""
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{what} must be finite and > 0, got {value}")
+    return float(value)
 
 
 class Kinetics:
-    """Base class; subclasses implement f(s, w) vectorized over arrays.
+    """The source family f(s, w) = r*s*(a - lam*s - w) - c*s^2 / P(s), with
+    P(s) = log1p(s)^gamma * prod_{i in depths} iter_log(i, s + e_tower(i - 1)).
 
-    Contract: f is nonincreasing in w on s >= 0, w >= 0, i.e.
-    f(s, w2) <= f(s, w1) whenever w2 >= w1.  mass_cap and
-    damping_rate_estimate rely on it to evaluate the source at w = 0 only.
+    Every built-in source is a member; the named subclasses only validate
+    their own parameters (listed in PARAMS) and map them onto the family.
+    Terms with a zero coefficient are left out, so r = c = 0 gives exact
+    zeros.
+
+    The constructor requires finite coefficients with r, lam, c, gamma >= 0.
+    Since df/dw = -r*s, f is then nonincreasing in w on s >= 0, which lets
+    mass_cap and damping_rate_estimate evaluate the source at w = 0 only.
+    It also records a linear envelope f(s, w) <= cap_a - cap_b*s on s > 0,
+    w >= 0 for the mass cap: cap_b = c and cap_a the numerical sup of
+    f(s, 0) + c*s when c > 0; else cap_b = r and the closed form
+    cap_a = r*(a + 1)^2 / (4*lam); None for the zero source.
     """
 
-    name = "base"
-    #: linear envelope f(s, w) <= cap_a - cap_b * s (None for the zero source)
-    cap_a = None
-    cap_b = None
+    name = "family"
+    PARAMS = ("r", "a", "lam", "c", "gamma", "depths")
+
+    def __init__(self, r=0.0, a=0.0, lam=0.0, c=0.0, gamma=0.0, depths=()):
+        if not all(math.isfinite(v) for v in (r, a, lam, c, gamma)):
+            raise ValueError(f"family coefficients must be finite, got r={r}, "
+                             f"a={a}, lam={lam}, c={c}, gamma={gamma}")
+        if r < 0:
+            raise ValueError(f"growth rate r must be >= 0 so that f is "
+                             f"nonincreasing in w, got {r}")
+        if min(lam, c, gamma) < 0:
+            raise ValueError(f"lam, c and gamma must be >= 0, got {lam}, {c}, {gamma}")
+        if not all(isinstance(i, (int, np.integer)) and i >= 1 for i in depths):
+            raise ValueError(f"log depths must be integers >= 1, got {depths}")
+        self.r, self.a, self.lam = float(r), float(a), float(lam)
+        self.c, self.gamma = float(c), float(gamma)
+        self.depths = tuple(sorted({int(i) for i in depths}))
+        self._shifts = [e_tower(i - 1) for i in self.depths]
+        if self.is_zero:
+            self.cap_a = self.cap_b = None
+        elif self.c > 0:
+            self.cap_b = self.c
+            self.cap_a = _sup_f_plus_eta(self, self.c)
+        elif self.lam > 0:
+            # sup_s of f(s, 0) + r*s = r*s*(a + 1 - lam*s) is at most this
+            self.cap_b = self.r
+            self.cap_a = self.r * (self.a + 1.0) ** 2 / (4.0 * self.lam)
+        else:
+            raise ValueError("a growing source needs damping: c > 0 or lam > 0")
 
     @property
     def is_zero(self) -> bool:
-        return False
+        return self.r == 0.0 and self.c == 0.0
 
     def f(self, s, w):
-        raise NotImplementedError
+        """The source at densities s and adhesive levels w, vectorized over
+        arrays; a float when both are scalars."""
+        s = np.asarray(s, dtype=float)
+        w = np.asarray(w, dtype=float)
+        if self.r:
+            bracket = self.a - self.lam * s - w if self.lam else self.a - w
+            out = (s if self.r == 1.0 else self.r * s) * bracket   # 1*s == s
+        else:
+            out = np.zeros(np.broadcast(s, w).shape)
+        if self.c:
+            safe = np.maximum(s, 1e-300)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                damp = self._damping(safe)
+            out = out - np.where(s > 0.0, damp, 0.0)
+        return float(out) if np.ndim(out) == 0 else out
+
+    def _damping(self, safe):
+        """c*safe^2 / P(safe) for safe > 0.
+
+        P rounds to exactly 0 once safe is lost next to a shift (safe below
+        ~1e-16), which makes the direct quotient inf or nan.  There the log
+        factors are rebuilt from log1p steps, d_0 = safe,
+        d_j = log1p(d_{j-1} / e_tower(i - j)), and the quotient is taken in
+        log space; elsewhere the direct quotient is kept.
+        """
+        div = np.log1p(safe) ** self.gamma if self.gamma else None
+        for i, shift in zip(self.depths, self._shifts):
+            lg = safe + shift
+            for _ in range(i):
+                lg = np.log(lg)
+            div = lg if div is None else div * lg
+        if div is None:
+            return self.c * safe * safe
+        damp = self.c * safe * safe / div
+        if not div.min(initial=math.inf) > 0.0:     # a nan min lands here too
+            damp = np.asarray(damp)
+            lost = ~(div > 0.0)
+            s = safe[lost]
+            log_damp = math.log(self.c) + 2.0 * np.log(s)
+            if self.gamma:
+                log_damp = log_damp - self.gamma * np.log(np.log1p(s))
+            for i in self.depths:
+                d = s
+                for j in range(1, i + 1):
+                    d = np.log1p(d / e_tower(i - j))
+                log_damp = log_damp - np.log(d)
+            damp[lost] = np.exp(log_damp)
+        return damp
 
     def params(self) -> dict:
-        return {}
+        return {k: getattr(self, k) for k in self.PARAMS}
 
     def __repr__(self):
         items = ", ".join(f"{k}={v}" for k, v in self.params().items())
@@ -152,113 +214,56 @@ class Kinetics:
 
 
 class ZeroKinetics(Kinetics):
-    """No reaction: f = 0, mass is conserved by transport and diffusion."""
+    """No reaction, r = c = 0: f = 0, mass is conserved by transport and diffusion."""
 
     name = "zero"
-
-    @property
-    def is_zero(self) -> bool:
-        return True
-
-    def f(self, s, w):
-        shape = np.broadcast_shapes(np.shape(s), np.shape(w))
-        if shape == ():
-            return 0.0
-        return np.zeros(shape)
+    PARAMS = ()
 
 
 class LogisticKinetics(Kinetics):
-    """f(s, w) = mu * s * (1 - s - w)."""
+    """f(s, w) = mu*s*(1 - s - w): the family with r = mu, a = lam = 1, c = 0."""
 
     name = "logistic"
+    PARAMS = ("mu",)
 
     def __init__(self, mu: float):
-        if not (mu > 0):
-            raise ValueError(f"logistic rate mu must be > 0, got {mu}")
-        self.mu = float(mu)
-        # sup_s of f(s, 0) + mu*s = mu*(2s - s^2) is mu, attained at s = 1
-        self.cap_a = self.mu
-        self.cap_b = self.mu
-
-    def f(self, s, w):
-        s = np.asarray(s, dtype=float)
-        return self.mu * s * (1.0 - s - np.asarray(w, dtype=float))
-
-    def params(self):
-        return {"mu": self.mu}
+        self.mu = _positive("logistic rate mu", mu)
+        super().__init__(r=self.mu, a=1.0, lam=1.0)
 
 
 class PowerSubLogistic(Kinetics):
-    """f(s, w) = s*(a - w) - b*s^2 / log(s+1)^gamma with gamma in (0, 1).
+    """f(s, w) = s*(a - w) - b*s^2 / log(s+1)^gamma with gamma in (0, 1):
+    the family with r = 1, c = b.
 
     The damping is weaker than quadratic by a fractional power of the
     logarithm, yet still strong enough that -f * log(s) / s^2 diverges.
     """
 
     name = "sublog_pow"
+    PARAMS = ("a", "b", "gamma")
 
     def __init__(self, a: float, b: float, gamma: float):
-        if not (b > 0):
-            raise ValueError(f"damping coefficient b must be > 0, got {b}")
+        self.b = _positive("damping coefficient b", b)
         if not (0.0 < gamma < 1.0):
             raise ValueError(f"exponent gamma must lie in (0, 1), got {gamma}")
-        if not math.isfinite(a):
-            raise ValueError(f"growth coefficient a must be finite, got {a}")
-        self.a = float(a)
-        self.b = float(b)
-        self.gamma = float(gamma)
-        self.cap_b = self.b
-        self.cap_a = _sup_f_plus_eta(self, self.b)
-
-    def f(self, s, w):
-        s = np.asarray(s, dtype=float)
-        w = np.asarray(w, dtype=float)
-        safe = np.maximum(s, 1e-300)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            damp = self.b * safe * safe / np.log1p(safe) ** self.gamma
-        damp = np.where(s > 0.0, damp, 0.0)
-        out = s * (self.a - w) - damp
-        if np.ndim(s) == 0 and np.ndim(w) == 0:
-            return float(out)
-        return out
-
-    def params(self):
-        return {"a": self.a, "b": self.b, "gamma": self.gamma}
+        super().__init__(r=1.0, a=a, c=self.b, gamma=gamma)
 
 
 class LogLogSubLogistic(Kinetics):
-    """f(s, w) = s*(a - w) - b*s^2 / log(log(s + e))."""
+    """f(s, w) = s*(a - w) - b*s^2 / log(log(s + e)): the family with
+    r = 1, c = b, depths = {2}."""
 
     name = "sublog_loglog"
+    PARAMS = ("a", "b")
 
     def __init__(self, a: float, b: float):
-        if not (b > 0):
-            raise ValueError(f"damping coefficient b must be > 0, got {b}")
-        if not math.isfinite(a):
-            raise ValueError(f"growth coefficient a must be finite, got {a}")
-        self.a = float(a)
-        self.b = float(b)
-        self.cap_b = self.b
-        self.cap_a = _sup_f_plus_eta(self, self.b)
-
-    def f(self, s, w):
-        s = np.asarray(s, dtype=float)
-        w = np.asarray(w, dtype=float)
-        safe = np.maximum(s, 1e-300)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            damp = _damping(self.b, safe, np.log(np.log(safe + math.e)), (2,))
-        damp = np.where(s > 0.0, damp, 0.0)
-        out = s * (self.a - w) - damp
-        if np.ndim(s) == 0 and np.ndim(w) == 0:
-            return float(out)
-        return out
-
-    def params(self):
-        return {"a": self.a, "b": self.b}
+        self.b = _positive("damping coefficient b", b)
+        super().__init__(r=1.0, a=a, c=self.b, depths=(2,))
 
 
 class IteratedLogKinetics(Kinetics):
-    """f(s, w) = s*(1 - w - mu*s / prod_{i=1}^{k} iter_log(i, s + e_tower(i-1))).
+    """f(s, w) = s*(1 - w - mu*s / prod_{i=1}^{k} iter_log(i, s + e_tower(i-1))):
+    the family with r = a = 1, c = mu, depths = {1..k}.
 
     The k-fold iterated-log divisor makes the quadratic damping as weak as
     possible while keeping the order-k damping rate equal to mu; rates of
@@ -266,60 +271,33 @@ class IteratedLogKinetics(Kinetics):
     """
 
     name = "iterlog"
+    PARAMS = ("k", "mu")
 
     def __init__(self, k: int, mu: float):
         if not isinstance(k, (int, np.integer)) or k < 1:
             raise ValueError(f"log depth k must be an integer >= 1, got {k}")
         if k > 4:
             raise ValueError(f"log depth k must be <= 4 (tower overflow), got {k}")
-        if not (mu > 0):
-            raise ValueError(f"damping rate mu must be > 0, got {mu}")
         self.k = int(k)
-        self.mu = float(mu)
-        self._shifts = [e_tower(i - 1) for i in range(1, self.k + 1)]
-        self.cap_b = self.mu
-        self.cap_a = _sup_f_plus_eta(self, self.mu)
-
-    def _log_product(self, s):
-        prod = np.ones_like(s)
-        for i, shift in enumerate(self._shifts, start=1):
-            prod = prod * iter_log(i, s + shift)
-        return prod
-
-    def f(self, s, w):
-        s = np.asarray(s, dtype=float)
-        w = np.asarray(w, dtype=float)
-        safe = np.maximum(s, 1e-300)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            damp = _damping(self.mu, safe, self._log_product(safe),
-                            range(1, self.k + 1))
-        damp = np.where(s > 0.0, damp, 0.0)
-        out = s * (1.0 - w) - damp
-        if np.ndim(s) == 0 and np.ndim(w) == 0:
-            return float(out)
-        return out
-
-    def params(self):
-        return {"k": self.k, "mu": self.mu}
+        self.mu = _positive("damping rate mu", mu)
+        super().__init__(r=1.0, a=1.0, c=self.mu, depths=range(1, self.k + 1))
 
 
-_KINETICS_TYPES = {
-    "zero": (ZeroKinetics, ()),
-    "logistic": (LogisticKinetics, ("mu",)),
-    "sublog_pow": (PowerSubLogistic, ("a", "b", "gamma")),
-    "sublog_loglog": (LogLogSubLogistic, ("a", "b")),
-    "iterlog": (IteratedLogKinetics, ("k", "mu")),
-}
+_KINETICS_TYPES = {cls.name: cls for cls in (
+    ZeroKinetics, LogisticKinetics, PowerSubLogistic, LogLogSubLogistic,
+    IteratedLogKinetics)}
 
 
 def make_kinetics(kind: str, **params) -> Kinetics:
-    """Factory used by config parsing and sweeps; validates the variant name."""
+    """Factory used by config parsing; validates the variant name and its
+    parameter names against the class's PARAMS."""
     key = kind.strip().lower()
     if key not in _KINETICS_TYPES:
         raise ValueError(
             f"unknown kinetics type '{kind}'; choose from {sorted(_KINETICS_TYPES)}"
         )
-    cls, names = _KINETICS_TYPES[key]
+    cls = _KINETICS_TYPES[key]
+    names = cls.PARAMS
     missing = [n for n in names if n not in params]
     extra = [n for n in params if n not in names]
     if missing:

@@ -85,6 +85,34 @@ def test_kinetics_param_error_names_the_key(tmp_path):
         load_config(write_ini(tmp_path, body))
 
 
+def _with_kinetics(out, kind, body):
+    return BASE.format(out=out).replace(
+        "kinetics = zero", f"kinetics = {kind}\n\n[kinetics]\n{body}")
+
+
+@pytest.mark.parametrize("kind, body, key", [
+    ("logistic", "mu = {v}", "mu"),
+    ("iterlog", "k = 2\nmu = {v}", "mu"),
+    ("iterlog", "k = {v}\nmu = 1.0", "k"),
+    ("sublog_pow", "a = {v}\nb = 1.0\ngamma = 0.5", "a"),
+    ("sublog_loglog", "a = 1.0\nb = {v}", "b"),
+])
+def test_kinetics_values_must_be_finite_reals(tmp_path, capsys, kind, body, key):
+    for value, need in (("inf", "finite"), ("nan", "finite"), ("abc", "a real number")):
+        ini = write_ini(tmp_path, _with_kinetics(tmp_path, kind, body.format(v=value)))
+        with pytest.raises(ConfigError, match=rf"kinetics\.{key} must be {need}.*line"):
+            load_config(ini)
+        # a non-finite rate used to pass and report M1 = nan as satisfied
+        assert cli_main(["check", ini, "--out", str(tmp_path / "chk")]) == 2
+        assert f"kinetics.{key}" in capsys.readouterr().err
+
+
+def test_kinetics_range_error_names_b_not_a(tmp_path):
+    body = _with_kinetics(tmp_path, "sublog_pow", "a = 1.0\nb = -1.0\ngamma = 0.5")
+    with pytest.raises(ConfigError, match=r"kinetics\.b: damping coefficient b.*line 10"):
+        load_config(write_ini(tmp_path, body))
+
+
 def test_modes_format_error(tmp_path):
     body = BASE.format(out=tmp_path).replace(
         "preset = homogeneous", "preset = cosine-perturbation\nmodes = 1:1")

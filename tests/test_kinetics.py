@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from chemohapto import (
     IteratedLogKinetics,
+    Kinetics,
     LogisticKinetics,
     LogLogSubLogistic,
     PowerSubLogistic,
@@ -300,3 +301,181 @@ def test_w_max_must_be_finite_and_nonnegative():
             mass_cap(kin, 1.0, 1.0, w_max=bad)
         with pytest.raises(ValueError, match="w_max"):
             damping_rate_estimate(kin, 1, w_max=bad)
+
+
+def test_scalar_arguments_give_a_float():
+    for kin in BUILTINS:
+        assert type(kin.f(3.0, 1.0)) is float
+        assert type(kin.f(0.0, 0.0)) is float
+
+
+# ---------------------------------------------------------------- one family
+
+
+def test_named_sources_only_map_onto_the_family():
+    for kin in BUILTINS:
+        cls = type(kin)
+        assert not {"f", "params", "is_zero"} & set(vars(cls))
+        assert isinstance(kin, Kinetics)
+        assert list(kin.params()) == list(cls.PARAMS)
+        assert make_kinetics(cls.name, **kin.params()).params() == kin.params()
+
+
+def test_family_rejects_negative_growth_rate():
+    with pytest.raises(ValueError, match="growth rate r"):
+        Kinetics(r=-1.0, c=1.0)
+    with pytest.raises(ValueError, match="growth rate r"):
+        Kinetics(r=-1e-300, lam=1.0)
+    # r = 0 with damping is a member: nonincreasing in w, never positive
+    kin = Kinetics(c=2.0, depths=(1,))
+    assert not kin.is_zero and kin.cap_b == 2.0
+    assert np.all(kin.f(np.array([0.0, 0.5, 3.0]), 1.0) <= 0.0)
+
+
+def test_family_rejects_other_bad_coefficients():
+    for bad in (dict(r=1.0, a=1.0),                     # growth without damping
+                dict(r=1.0, a=math.inf, c=1.0),
+                dict(r=math.nan, c=1.0),
+                dict(c=-1.0),
+                dict(c=1.0, gamma=-0.5),
+                dict(c=1.0, depths=(0,)),
+                dict(c=1.0, depths=(1.5,))):
+        with pytest.raises(ValueError):
+            Kinetics(**bad)
+
+
+def test_constructors_reject_non_finite_coefficients():
+    for make in (lambda v: LogisticKinetics(v),
+                 lambda v: IteratedLogKinetics(2, v),
+                 lambda v: PowerSubLogistic(1.0, v, 0.5),
+                 lambda v: PowerSubLogistic(v, 1.0, 0.5),
+                 lambda v: LogLogSubLogistic(1.0, v),
+                 lambda v: LogLogSubLogistic(v, 1.0)):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                make(bad)
+
+
+# The closed forms of the five sources as they stood before they were folded
+# into one family; the family must reproduce them bit for bit.
+
+
+def _ref_damping(coef, safe, divisor, depths):
+    damp = np.asarray(coef * safe * safe / divisor)
+    lost = ~(divisor > 0.0)
+    if np.any(lost):
+        s = safe[lost]
+        log_damp = math.log(coef) + 2.0 * np.log(s)
+        for i in depths:
+            d = s
+            for j in range(1, i + 1):
+                d = np.log1p(d / e_tower(i - j))
+            log_damp = log_damp - np.log(d)
+        damp[lost] = np.exp(log_damp)
+    return damp
+
+
+def _ref_zero(kin, s, w):
+    shape = np.broadcast_shapes(np.shape(s), np.shape(w))
+    return 0.0 if shape == () else np.zeros(shape)
+
+
+def _ref_logistic(kin, s, w):
+    s = np.asarray(s, dtype=float)
+    return kin.mu * s * (1.0 - s - np.asarray(w, dtype=float))
+
+
+def _ref_sublog(damping):
+    def f(kin, s, w):
+        s = np.asarray(s, dtype=float)
+        w = np.asarray(w, dtype=float)
+        safe = np.maximum(s, 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            damp = damping(kin, safe)
+        damp = np.where(s > 0.0, damp, 0.0)
+        growth = s * (kin.a - w) if hasattr(kin, "b") else s * (1.0 - w)
+        out = growth - damp
+        if np.ndim(s) == 0 and np.ndim(w) == 0:
+            return float(out)
+        return out
+    return f
+
+
+def _ref_log_product(kin, s):
+    prod = np.ones_like(s)
+    for i in range(1, kin.k + 1):
+        prod = prod * iter_log(i, s + e_tower(i - 1))
+    return prod
+
+
+REFERENCE = {
+    "zero": _ref_zero,
+    "logistic": _ref_logistic,
+    "sublog_pow": _ref_sublog(
+        lambda kin, safe: kin.b * safe * safe / np.log1p(safe) ** kin.gamma),
+    "sublog_loglog": _ref_sublog(
+        lambda kin, safe: _ref_damping(kin.b, safe, np.log(np.log(safe + math.e)), (2,))),
+    "iterlog": _ref_sublog(
+        lambda kin, safe: _ref_damping(kin.mu, safe, _ref_log_product(kin, safe),
+                                       range(1, kin.k + 1))),
+}
+
+# (source, cap_a, cap_b, mass_cap(source, 4, 1, 0.5), mu_1..mu_3), recorded
+# from the closed forms above
+PINNED = (
+    (ZeroKinetics(), None, None, 4.0, (0.0, 0.0, 0.0)),
+    (LogisticKinetics(1.0), 1.0, 1.0, 5.000000002, (math.inf,) * 3),
+    (LogisticKinetics(2.5), 2.5, 2.5, 5.0000000014, (math.inf,) * 3),
+    (PowerSubLogistic(1.0, 1.0, 0.5), 0.7992320518239915, 1.0, 4.746881744676749,
+     (math.inf,) * 3),
+    (PowerSubLogistic(0.5, 2.0, 0.3), 0.6002000873027423, 2.0, 4.134296305791584,
+     (math.inf,) * 3),
+    (LogLogSubLogistic(1.0, 1.0), 2.8171864070900636e-10, 1.0, 4.0, (math.inf,) * 3),
+    (LogLogSubLogistic(2.0, 0.5), 0.6902911389488622, 0.5, 5.380582277897725,
+     (math.inf,) * 3),
+    (IteratedLogKinetics(1, 1.0), 0.5737048386498446, 1.0, 4.000044721527457,
+     (0.9999986370614575, math.inf, math.inf)),
+    (IteratedLogKinetics(1, 2.5), 0.2126818602271107, 2.5, 4.0,
+     (2.499998629396387, math.inf, math.inf)),
+    (IteratedLogKinetics(2, 1.0), -2.718281100828441, 1.0, 4.0,
+     (4.286635636652608e-06, 0.9999961999198996, math.inf)),
+    (IteratedLogKinetics(2, 2.5), -6.795702748338733, 2.5, 4.0,
+     (4.302325975456319e-06, 2.499996184790049, math.inf)),
+    (IteratedLogKinetics(3, 1.0), -181.1287951554475, 1.0, 4.0,
+     (0.0, 1.3830537425255333e-05, 0.9999999713948262)),
+    (IteratedLogKinetics(3, 2.5), -457.0142047156646, 2.5, 4.0,
+     (0.0, 1.4006853759399621e-05, 2.4999999712302343)),
+    (IteratedLogKinetics(4, 1.0), -3757477577.467387, 1.0, 4.0,
+     (0.0, 0.0, 0.001998405239770165)),
+    (IteratedLogKinetics(4, 2.5), -9393693979.443607, 2.5, 4.0,
+     (0.0, 0.0, 0.004995944941124576)),
+)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_POINTS = st.lists(st.tuples(st.floats(0.0, 1e300), st.floats(0.0, 10.0)),
+                   min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=_POINTS)
+@example(points=[(0.0, 0.0), (1e-300, 0.5), (1e-200, 1.0), (1e-16, 2.0)])
+@example(points=[(0.0, 3.0), (1e-300, 0.0), (1e-200, 0.0), (1e-16, 0.0)])
+def test_family_matches_the_closed_forms_bitwise(points):
+    s, w = (np.array(col) for col in zip(*points))
+    with np.errstate(all="ignore"):
+        for kin, *_ in PINNED:
+            ref = REFERENCE[kin.name]
+            for args in ((s, w), (s, 0.0), (s[:, None], w), (s[0], w), (s[0], w[0])):
+                assert _same_bits(kin.f(*args), ref(kin, *args))
+
+
+def test_threshold_quantities_match_the_closed_forms():
+    for kin, cap_a, cap_b, m1, mu in PINNED:
+        assert (kin.cap_a, kin.cap_b) == (cap_a, cap_b)
+        assert mass_cap(kin, 4.0, 1.0, 0.5) == m1
+        assert tuple(damping_rate_estimate(kin, r) for r in (1, 2, 3)) == mu
