@@ -83,8 +83,11 @@ class Grid:
 
     def _div(self, Fx: np.ndarray, Fy: np.ndarray) -> np.ndarray:
         # Divergence of face fluxes with zero flux on boundary faces.  The
-        # fluxes are scaled in place (callers pass arrays they own): a fresh
-        # field-sized temporary costs its page faults again on every call.
+        # fluxes are scaled in place (callers pass arrays they own), which
+        # saves allocating and filling a field-sized temporary.  Under
+        # cli.main on glibc a freed temporary is reused without new page
+        # faults (cli._keep_freed_buffers); elsewhere a fresh one may fault
+        # its pages in again on every call.
         out = np.zeros((self.nx, self.ny))
         Fx /= self.hx
         out[:-1, :] += Fx

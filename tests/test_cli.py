@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from chemohapto import ConfigError, Grid, load_config, solve_elliptic_v
+from chemohapto import ConfigError, Grid, cli, load_config, solve_elliptic_v
 from chemohapto.cli import main as cli_main
 from chemohapto.config import build_initial_data, override
 from chemohapto.io import read_field, read_series, write_field
@@ -407,3 +407,108 @@ def test_run_report_survives_non_finite_final_state(tmp_path, monkeypatch):
     rep = json.load(open(out / "report.json"))
     assert rep["run"]["status"] == "diverged"
     assert 'fill="#ff0000"' in (out / "u_final.svg").read_text()
+
+
+# ---------------------------------------------------------------- allocator and workers
+
+
+def _on_glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the malloc thresholds are glibc's")
+def test_keep_freed_buffers_stops_step_page_faults():
+    resource = pytest.importorskip("resource")
+    from chemohapto import (InitialData, LogisticKinetics, ModelParams, Numerics,
+                            compatibility_constant, initial_state, step)
+    cli._keep_freed_buffers()
+    g = Grid(256, 256)
+    X, Y = g.mesh()
+    u0 = 1.0 + np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.02)
+    w0 = np.full(g.shape, 0.5)
+    ic = InitialData(u0=u0, w0=w0, v0=u0.copy(), A=compatibility_constant(g, w0))
+    params = ModelParams(chi=1.0, xi=0.5, tau=1.0, kinetics=LogisticKinetics(1.0))
+    num = Numerics()
+    st = initial_state(g, params, ic, num)
+    for _ in range(10):
+        st = step(g, st, params, 1e-4, num)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(40):
+        st = step(g, st, params, 1e-4, num)
+    per_step = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40
+    # without the helper every step faults its temporaries back in (~800 here)
+    assert per_step < g.nx * g.ny * 8 / resource.getpagesize()
+
+
+@pytest.mark.parametrize("libc", ["unsupported", "absent", "musl", "none"])
+def test_keep_freed_buffers_is_a_noop_off_glibc(monkeypatch, libc):
+    def confstr(name):
+        if libc == "unsupported":
+            raise ValueError("unrecognized configuration name")
+        return None if libc == "none" else "musl 1.2.4"
+
+    def no_libc(*args, **kwargs):
+        raise AssertionError("mallopt looked up off glibc")
+
+    if libc == "absent":
+        monkeypatch.delattr(os, "confstr")
+    else:
+        monkeypatch.setattr(os, "confstr", confstr)
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+    assert cli._keep_freed_buffers() is None
+
+
+def test_keep_freed_buffers_twice_is_harmless(tmp_path):
+    cli._keep_freed_buffers()
+    cli._keep_freed_buffers()
+    cfg = os.path.join(CONFIGS, "homogeneous-minimal.ini")
+    assert cli_main(["run", cfg, "--out", str(tmp_path / "run")]) == 0
+    mass = read_series(str(tmp_path / "run" / "series.csv"))["mass"]
+    assert np.max(np.abs(mass - 1.0)) < 1e-12
+
+
+class _FakePool:
+    """Stands in for multiprocessing.Pool: records its arguments, runs serially."""
+
+    made = []
+
+    def __init__(self, processes=None, initializer=None):
+        _FakePool.made.append((processes, initializer))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_sweep_starts_at_most_one_worker_per_point(tmp_path, monkeypatch):
+    monkeypatch.setattr(_FakePool, "made", [])
+    monkeypatch.setattr(cli, "Pool", _FakePool)
+    cfg = os.path.join(CONFIGS, "homogeneous-minimal.ini")
+    out = tmp_path / "sw"
+    rc = cli_main(["sweep", cfg, "--axis", "chi=0.5:1:2", "--threads", "8",
+                   "--out", str(out)])
+    assert rc == 0
+    assert _FakePool.made == [(2, cli._keep_freed_buffers)]
+    assert "(2 threads)" in (out / "summary.txt").read_text()
+    assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("command", ["run", "check", "sweep"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_rejected(tmp_path, monkeypatch, capsys, command, threads):
+    monkeypatch.setattr(cli, "Pool", None)      # no worker may be started
+    cfg = os.path.join(CONFIGS, "homogeneous-minimal.ini")
+    argv = [command, cfg, "--threads", threads, "--out", str(tmp_path / "o")]
+    if command == "sweep":
+        argv += ["--axis", "chi=0.5:1:2"]
+    assert cli_main(argv) == 2
+    assert f"--threads must be an integer >= 1, got {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

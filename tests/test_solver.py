@@ -281,6 +281,46 @@ def test_positivity_and_w_monotone():
     assert np.max(st.w) <= 0.5
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 24), extra=st.integers(0, 5),
+       chi=st.floats(0.0, 5.0), xi=st.floats(0.0, 5.0),
+       tau=st.sampled_from([0.0, 0.5, 2.0]), mu=st.sampled_from([None, 1.0, 30.0]),
+       frac=st.floats(0.01, 1.0))
+def test_step_properties_on_random_fields(seed, n, extra, chi, xi, tau, mu, frac):
+    # random nonnegative fields with zero patches, any dt up to the CFL bound
+    # that run would use for this state
+    g = Grid(n, n + extra)
+    rng = np.random.default_rng(seed)
+    u = rng.random(g.shape) * 3.0
+    u[rng.random(g.shape) < 0.2] = 0.0
+    u[0, 0] = 1.0                       # positive mass for the relative check
+    v = rng.random(g.shape)
+    v[rng.random(g.shape) < 0.2] = 0.0
+    w = rng.random(g.shape)
+    w[rng.random(g.shape) < 0.2] = 0.0
+    kin = ZeroKinetics() if mu is None else LogisticKinetics(mu)
+    params = ModelParams(chi=chi, xi=xi, tau=tau, kinetics=kin)
+    num = Numerics()
+    dt = frac * dt_cfl(g, params, v, w, num.dt_max, num.cfl_safety)
+    new = step(g, solver.State(t=0.0, u=u, v=v, w=w), params, dt, num)
+
+    assert np.min(new.u) >= 0.0 and np.min(new.v) >= 0.0 and np.min(new.w) >= 0.0
+    assert np.all(new.w <= w)           # pointwise monotone decay of w
+
+    # the transport divergence integrates to zero up to rounding of the fluxes
+    for phi in (new.v, new.w):
+        ax, ay = g.face_diff(phi)
+        speed = max(np.max(np.abs(ax), initial=0.0), np.max(np.abs(ay), initial=0.0))
+        flux = np.max(u) * speed / min(g.hx, g.hy)
+        drift = abs(g.integrate(g.taxis_divergence(u, phi)))
+        assert drift <= 64 * np.finfo(float).eps * flux * g.area
+
+    if kin.is_zero:
+        m0 = g.integrate(u)
+        assert abs(g.integrate(new.u) - m0) <= 1e-12 * m0
+        assert new.clipped_mass == 0.0
+
+
 def test_tau_positive_signal_lags():
     # with tau > 0 and v0 = 0 the signal must grow toward u but stay
     # below the elliptic equilibrium early on
