@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
-import mpmath as mp
 import numpy as np
 
 from .grid import Grid
@@ -318,15 +317,19 @@ class LogGNReport:
     eps: float
 
 
-def mp_exp_tower(m: int, x) -> mp.mpf:
-    """exp applied m times to x, in arbitrary precision."""
+def mp_exp_tower(m: int, x):
+    """exp applied m times to x, in arbitrary precision (an mpmath mpf)."""
+    import mpmath as mp     # only the log-interpolation check needs mpmath
+
     v = mp.mpf(x)
     for _ in range(m):
         v = mp.exp(v)
     return v
 
 
-def _mp_iter_log(m: int, x) -> mp.mpf:
+def _mp_iter_log(m: int, x):
+    import mpmath as mp
+
     v = mp.mpf(x)
     for _ in range(m):
         v = mp.log(v)
@@ -352,6 +355,8 @@ def log_gn_check(
     2^(2q-r) C1 (lambda / g(lambda))^r < eps, then C = 2^q C1 and
     C_eps = 2^q (2 lambda)^q |Omega|.
     """
+    import mpmath as mp
+
     grid.check_shape(phi)
     if np.min(phi) < 0:
         raise ValueError("log_gn_check requires a nonnegative field")

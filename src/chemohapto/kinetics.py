@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -316,14 +315,20 @@ def make_kinetics(kind: str, **params) -> Kinetics:
 # linear envelope and mass cap
 
 
-def _sup_f_plus_eta(spec: Kinetics, eta: float) -> float:
+def _sup_f_plus_eta(spec: Kinetics, eta: float, brackets: dict | None = None) -> float:
     """sup over s > 0, w >= 0 of f(s, w) + eta*s.
 
     Finite whenever eta <= cap_b.  By the Kinetics contract the sup over w
     sits at w = 0; the s sweep uses a log-spaced bracket that expands until
-    the maximum is interior and the tail decays, then a bounded 1D
-    refinement.
+    the maximum is interior and the tail decays, then a bounded Brent
+    refinement (_bounded_min) around the best grid point.
+
+    brackets maps each bracket level s_hi to its grid and f(grid, 0); a
+    caller that evaluates many eta (mass_cap) passes one dict so that f runs
+    once per level, the envelope being f(grid, 0) + eta*grid either way.
     """
+    if brackets is None:
+        brackets = {}
 
     def envelope(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -331,8 +336,11 @@ def _sup_f_plus_eta(spec: Kinetics, eta: float) -> float:
 
     s_hi = 1e8
     for _ in range(12):
-        s_grid = np.geomspace(1e-9, s_hi, 4096)
-        vals = envelope(s_grid)
+        if s_hi not in brackets:
+            s_grid = np.geomspace(1e-9, s_hi, 4096)
+            brackets[s_hi] = (s_grid, spec.f(s_grid, 0.0))
+        s_grid, f0 = brackets[s_hi]
+        vals = f0 + eta * s_grid
         j = int(np.argmax(vals))
         interior = j < len(s_grid) - 410        # peak clear of the upper edge
         tail_drops = vals[-1] < vals[j] - 1e-9 * (1.0 + abs(vals[j]))
@@ -343,15 +351,100 @@ def _sup_f_plus_eta(spec: Kinetics, eta: float) -> float:
             raise RuntimeError("inner envelope sup did not stabilize under bracket expansion")
     lo = s_grid[max(j - 1, 0)]
     hi = s_grid[min(j + 1, len(s_grid) - 1)]
-    res = minimize_scalar(
-        lambda t: -float(envelope(math.exp(t))[0]),
-        bounds=(math.log(lo), math.log(hi)),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    peak = max(float(vals[j]), -float(res.fun))
+    # one-element arrays on purpose: scalar and array ** differ in the last bit
+    _, fun, _ = _bounded_min(lambda t: -float(envelope(math.exp(t))[0]),
+                             math.log(lo), math.log(hi), xatol=1e-13)
+    peak = max(float(vals[j]), -fun)
     # tiny inflation so the recorded envelope is a certified upper bound
     return peak + 1e-9 * (1.0 + abs(peak))
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _bounded_min(fun, x1: float, x2: float, xatol: float = 1e-5, maxiter: int = 500):
+    """Brent's bounded minimizer on finite x1 <= x2; returns (x, fun(x), evaluations).
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 5:
+    golden-section steps, parabolic steps where the parabola through the
+    three best points is acceptable, never closer than tol1 to a point
+    already evaluated.  The float operations and comparisons are those of
+    scipy's minimize_scalar(method="bounded") (scipy 1.17), so both return
+    the same bits.
+    """
+    a, b = x1, x2
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = fun(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:                       # try a parabolic step
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign_step(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN_MEAN * e
+
+        step = abs(rat)                         # max(step, tol1), keeping a nan
+        x = xf + _sign_step(rat) * (step if not step < tol1 else tol1)
+        fu = fun(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf, fx, num
+
+
+def _sign_step(d: float) -> float:
+    """sign(d) + (d == 0): +1 for d >= 0 (either zero), -1 below, nan for nan."""
+    if d >= 0.0:
+        return 1.0
+    return -1.0 if d < 0.0 else d
 
 
 def _golden_min(fun, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
@@ -388,6 +481,9 @@ def mass_cap(spec: Kinetics, u0_mass: float, area: float, w_max: float = 0.0) ->
     u0_mass + area * inf_{eta in (0, cap_b]} sup_{s, w} (f(s, w) + eta*s) / eta,
     with the correction term floored at zero.  The infimum is located by a
     coarse log-spaced scan refined with a golden-section search in log(eta).
+    Each eta's sup comes from _sup_f_plus_eta (bracket scan plus Brent
+    refinement); f(s, 0) on each bracket level is evaluated once and shared
+    by all eta of the scan and the search.
 
     w_max (the largest adhesive level, finite and >= 0) is validated but
     does not change the result: by the Kinetics contract the sup over
@@ -407,9 +503,11 @@ def mass_cap(spec: Kinetics, u0_mass: float, area: float, w_max: float = 0.0) ->
         return float(u0_mass)
     b_cap = spec.cap_b
 
+    brackets = {}
+
     def per_eta(log_eta):
         eta = math.exp(log_eta)
-        return _sup_f_plus_eta(spec, eta) / eta
+        return _sup_f_plus_eta(spec, eta, brackets) / eta
 
     log_hi = math.log(b_cap)
     log_lo = log_hi + math.log(1e-8)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -247,6 +249,31 @@ def test_verify_suites_pass(suite, capsys):
     assert cli_main(["verify", suite]) == 0
     text = capsys.readouterr().out
     assert "FAIL" not in text and "PASS" in text
+
+
+_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+_IMPORT_THEN_LOGGN = """
+import sys
+import chemohapto.cli as cli
+heavy = ("scipy.optimize", "scipy.linalg", "mpmath")
+print(sorted(m for m in sys.modules if m.startswith(heavy)))
+code = cli.main(["verify", "loggn"])
+print("mpmath" in sys.modules)
+sys.exit(code)
+"""
+
+
+def test_cli_import_leaves_out_optimize_linalg_and_mpmath():
+    """A fresh `import chemohapto.cli` loads none of the heavy modules, and
+    `verify loggn` still passes by importing mpmath on first use."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(_SRC))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_THEN_LOGGN], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
+    assert lines[-1] == "True"
 
 
 def test_sweep_single_point_matches_run(tmp_path):

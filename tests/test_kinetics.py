@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chemohapto import kinetics
 from chemohapto import (
     IteratedLogKinetics,
     Kinetics,
@@ -479,3 +480,87 @@ def test_threshold_quantities_match_the_closed_forms():
         assert (kin.cap_a, kin.cap_b) == (cap_a, cap_b)
         assert mass_cap(kin, 4.0, 1.0, 0.5) == m1
         assert tuple(damping_rate_estimate(kin, r) for r in (1, 2, 3)) == mu
+
+
+# ------------------------------------------- bounded Brent and bracket reuse
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _assert_matches_scipy(fun, lo, hi, xatol, brent=kinetics._bounded_min):
+    from scipy.optimize import minimize_scalar
+    x, fx, nfev = brent(fun, lo, hi, xatol=xatol)
+    res = minimize_scalar(fun, bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol})
+    assert (_bits(x), _bits(fx), nfev) == (_bits(res.x), _bits(res.fun), res.nfev)
+    return x, fx, nfev
+
+
+_SHAPES = {
+    "unimodal": lambda c, k: lambda x: k * (x - c) ** 2 + 0.5,
+    "multimodal": lambda c, k: lambda x: math.sin(k * x) + 0.1 * (x - c) ** 2,
+    "flat": lambda c, k: lambda x: c,
+    "steep": lambda c, k: lambda x: (math.exp(min(k * (x - c), 700.0))
+                                     + math.exp(min(-k * (x - c), 700.0))),
+    "edge": lambda c, k: lambda x: k * x + c,
+    "kink": lambda c, k: lambda x: abs(x - c) * k,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from(sorted(_SHAPES)),
+       lo=st.floats(-50.0, 50.0), width=st.floats(0.0, 100.0),
+       c=st.floats(-60.0, 60.0), k=st.floats(-20.0, 20.0),
+       xatol=st.sampled_from([1e-13, 1e-10, 1e-5, 1e-2, 1.0]))
+@example(shape="unimodal", lo=0.0, width=0.0, c=0.0, k=1.0, xatol=1e-5)
+@example(shape="edge", lo=-1.0, width=2.0, c=0.0, k=0.0, xatol=1e-13)
+def test_bounded_min_matches_scipy_bitwise(shape, lo, width, c, k, xatol):
+    _assert_matches_scipy(_SHAPES[shape](c, k), lo, lo + width, xatol)
+
+
+def test_bounded_min_stops_at_maxiter():
+    _, _, nfev = kinetics._bounded_min(lambda x: math.sin(40.0 * x), -5.0, 5.0,
+                                       xatol=1e-300, maxiter=7)
+    assert nfev == 7
+
+
+def test_bounded_min_matches_scipy_on_the_source_envelopes(monkeypatch):
+    """Every refinement that mass_cap runs on the PINNED sources gives the
+    scipy bits, and M1 stays as pinned."""
+    seen = []
+
+    def checked(fun, lo, hi, xatol=1e-5):
+        seen.append(_assert_matches_scipy(fun, lo, hi, xatol))
+        return seen[-1]
+
+    monkeypatch.setattr(kinetics, "_bounded_min", checked)
+    for kin, _, _, m1, _ in PINNED:
+        before = len(seen)
+        assert mass_cap(kin, 4.0, 1.0, 0.5) == m1
+        assert len(seen) - before >= (0 if kin.is_zero else 33)
+
+
+def test_mass_cap_evaluates_each_bracket_level_once(monkeypatch):
+    real_f = Kinetics.f
+    for kin, _, _, m1, _ in PINNED:
+        levels = []
+
+        def counting(self, s, w):
+            if np.size(s) == 4096:
+                levels.append(float(np.asarray(s)[-1]))
+            return real_f(self, s, w)
+
+        monkeypatch.setattr(Kinetics, "f", counting)
+        sups = []
+        real_sup = kinetics._sup_f_plus_eta
+        monkeypatch.setattr(kinetics, "_sup_f_plus_eta",
+                            lambda *a: sups.append(a[1]) or real_sup(*a))
+        assert mass_cap(kin, 4.0, 1.0, 0.5) == m1
+        monkeypatch.undo()
+        assert len(levels) == len(set(levels))
+        if kin.is_zero:
+            assert levels == [] and sups == []
+        else:
+            assert 1 <= len(levels) <= 12 and len(sups) > 33
