@@ -3,10 +3,10 @@
 `run <config>` integrates the system and writes series.csv, final-state
 field dumps, heatmap SVGs, and report.json.  `check <config>` evaluates
 the boundedness-condition report without integrating.  `verify <suite>`
-executes one of the built-in property suites (operators, identity,
-iterlog, loggn) at three refinement levels and prints convergence
-orders.  `sweep <config> --axis name=start:stop:steps[:log]` runs a
-Cartesian grid of parameter points in parallel.
+prints the rows of one property suite in `verify.py` (operators,
+identity, iterlog, loggn): values, orders and pass flags.  `sweep
+<config> --axis name=start:stop:steps[:log]` runs a Cartesian grid of
+parameter points in parallel.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .config import (
     build_run_config,
     load_config,
 )
-from .diagnostics import identity_residual, log_gn_check, gn_constant_estimate
-from .grid import Grid
 from .io import (
     ensure_dir,
     write_field,
@@ -44,18 +42,7 @@ from .io import (
     write_report,
     write_series,
 )
-from .kinetics import (
-    IteratedLogKinetics,
-    LogisticKinetics,
-    ZeroKinetics,
-    damping_rate_estimate,
-    e_tower,
-    iter_log,
-    make_kinetics,
-    shifted_log_deriv,
-    shifted_log_weight,
-)
-from .solver import InitialDataError, initial_state, run, solve_elliptic_v, step
+from .solver import InitialDataError, run
 
 
 # glibc mallopt parameters (malloc.h) and the values glibc's dynamic rule
@@ -216,181 +203,16 @@ def cmd_check(args) -> int:
 # verify suites
 
 
-def _orders(errs) -> list:
-    out = []
-    for a, b in zip(errs, errs[1:]):
-        if a > 0 and b > 0:
-            out.append(math.log2(a / b))
-        else:
-            out.append(math.inf)
-    return out
-
-
-def _fmt_row(name, values, order_text, ok) -> str:
-    vals = "  ".join(f"{v:11.4e}" for v in values)
-    mark = "PASS" if ok else "FAIL"
-    return f"  {name:<26s} {vals}  {order_text:<12s} {mark}"
-
-
-def _suite_operators() -> list:
-    """Conservation, truncation orders, and exact identities of the kernels."""
-    levels = [32, 64, 128]
-    rows = []
-    lap_err, tax_err, cons, ident, ell = [], [], [], [], []
-    for nx in levels:
-        g = Grid(nx, nx)
-        X, _ = g.mesh()
-        u = np.exp(0.3 * np.sin(2 * np.pi * X) + 0.2 * X)
-        phi = np.cos(np.pi * X)
-        cons.append(max(abs(g.integrate(g.laplacian_neumann(u))),
-                        abs(g.integrate(g.taxis_divergence(u, phi)))))
-        f = np.cos(np.pi * X)
-        lap_err.append(float(np.max(np.abs(
-            g.laplacian_neumann(f) + math.pi ** 2 * f))))
-        ub = 0.5 + 0.25 * np.cos(np.pi * X)
-        # continuum d/dx(u dphi/dx) for these two profiles
-        exact = -math.pi ** 2 * (np.cos(np.pi * X) * ub
-                                 - 0.25 * np.sin(np.pi * X) ** 2)
-        tax_err.append(float(np.max(np.abs(g.taxis_divergence(ub, phi) - exact))))
-        ident.append(abs(g.dirichlet_energy(u, u) - g.grad_norm(u, 2) ** 2))
-        v = solve_elliptic_v(g, u, tol=1e-12)
-        ell.append(float(np.max(np.abs(v - g.laplacian_neumann(v) - u))))
-    lo = _orders(lap_err)
-    to = _orders(tax_err)
-    rows.append(("laplacian truncation", lap_err,
-                 ", ".join(f"{o:.2f}" for o in lo), min(lo) >= 1.7))
-    rows.append(("taxis truncation", tax_err,
-                 ", ".join(f"{o:.2f}" for o in to), min(to) >= 0.8))
-    rows.append(("flux conservation", cons, "exact", max(cons) <= 1e-10))
-    rows.append(("gradient identity", ident, "exact", max(ident) <= 1e-10))
-    rows.append(("elliptic residual", ell, "n/a", max(ell) <= 1e-8))
-    return rows
-
-
-def _suite_identity() -> list:
-    """Energy-identity residual under joint dt ~ h^2 refinement."""
-    from .solver import ModelParams, Numerics, InitialData, compatibility_constant
-    levels = [32, 64, 128]
-    rows = []
-    for m in (None, 1):
-        errs = []
-        for nx in levels:
-            g = Grid(nx, nx)
-            X, Y = g.mesh()
-            u0 = 1.0 + np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / (2 * 0.2 ** 2))
-            w0 = 0.3 + 0.1 * np.cos(np.pi * X) * np.cos(np.pi * Y)
-            params = ModelParams(chi=0.5, xi=0.25, tau=0.0,
-                                 kinetics=LogisticKinetics(1.0))
-            ic = InitialData(u0=u0, w0=w0, A=compatibility_constant(g, w0))
-            num = Numerics(dt_max=20.0 * g.hx ** 2)
-            st = initial_state(g, params, ic, num)
-            dt = num.dt_max
-            # sample at the last step: a fixed physical time, clear of the
-            # rough-start transient, where the O(dt + h^2) claim is asymptotic
-            last = math.nan
-            while st.t < 0.04 - 1e-12:
-                prev = st
-                st = step(g, st, params, dt, num)
-                last = identity_residual(
-                    g, params.chi, params.xi, params.kinetics,
-                    prev.u, st.u, prev.v, st.v, prev.w, st.w, dt, m=m)
-            errs.append(last)
-        orders = _orders(errs)
-        ok = all(b < a for a, b in zip(errs, errs[1:])) and min(orders) >= 0.9
-        label = "m=log" if m is None else f"m={m}"
-        rows.append((f"residual {label}", errs,
-                     ", ".join(f"{o:.2f}" for o in orders), ok))
-    return rows
-
-
-def _suite_iterlog() -> list:
-    """Closed-form weight derivatives against finite differences, positivity."""
-    rows = []
-    z = np.geomspace(1e-6, 1e9, 400)
-    steps = [1e-3, 5e-4, 2.5e-4]
-    for m in (1, 2, 3):
-        shift = e_tower(m)
-        errs = []
-        for rel in steps:
-            h = rel * (z + shift)
-            fd = (iter_log(m, z + shift + h) - iter_log(m, z + shift - h)) / (2 * h)
-            exact = shifted_log_deriv(m, z)
-            errs.append(float(np.max(np.abs(fd - exact) / np.abs(exact))))
-        orders = _orders(errs)
-        rows.append((f"deriv fd match m={m}", errs,
-                     ", ".join(f"{o:.2f}" for o in orders), min(orders) >= 1.7))
-        d = shifted_log_deriv(m, z)
-        w = shifted_log_weight(m, z)
-        floor = 1.0 - (m - 1) / e_tower(m - 1) if m >= 2 else 1.0
-        bound = float(np.min(w / d))   # = 1 - sum of reciprocal products
-        rows.append((f"weight positivity m={m}",
-                     [float(np.min(d)), float(np.min(w)), bound],
-                     "n/a", np.min(d) > 0 and np.min(w) > 0
-                     and bound >= floor - 1e-12))
-    table = [
-        (ZeroKinetics(), 1, 0.0, 0.05),
-        (LogisticKinetics(1.0), 1, math.inf, 0.0),
-        (IteratedLogKinetics(1, 1.0), 1, 1.0, 0.05),
-        (IteratedLogKinetics(2, 1.0), 2, 1.0, 0.05),
-    ]
-    vals, ok_all = [], True
-    for kin, r, expect, tol in table:
-        got = damping_rate_estimate(kin, r, w_max=1.0)
-        if math.isinf(expect):
-            ok = math.isinf(got)
-        else:
-            ok = abs(got - expect) <= tol
-        ok_all = ok_all and ok
-        vals.append(got if math.isfinite(got) else 1e99)
-    rows.append(("damping-rate spot table", vals, "n/a", ok_all))
-    return rows
-
-
-def _suite_loggn() -> list:
-    """Constructed log-interpolation bound on batches of random fields."""
-    rows = []
-    rng = np.random.default_rng(7)
-    for nx in (16, 32, 48):
-        g = Grid(nx, nx)
-        X, Y = g.mesh()
-        import mpmath as mp
-        fails, min_margin = 0, math.inf
-        for _ in range(20):
-            kx, ky = rng.integers(1, 4, size=2)
-            phi = np.abs(1.0 + 0.8 * rng.random() * np.cos(kx * np.pi * X)
-                         * np.cos(ky * np.pi * Y) + 0.2 * rng.random((nx, nx)))
-            for m in (1, 2):
-                rep = log_gn_check(g, phi, m, 3.0, 1.0, 0.1)
-                if not rep.holds:
-                    fails += 1
-                else:
-                    # decades of slack; the constructed constants are huge
-                    margin = float(mp.log10(rep.rhs) - mp.log10(max(rep.lhs, 1e-300)))
-                    min_margin = min(min_margin, margin)
-        c = gn_constant_estimate(g, 4, 2, 2)
-        floor = g.area ** (1.0 / 4.0 - 1.0 / 2.0)
-        rows.append((f"log-gn holds nx={nx}", [float(fails), min_margin, c],
-                     "n/a", fails == 0 and c >= floor - 1e-12))
-    return rows
-
-
-_SUITES = {
-    "operators": _suite_operators,
-    "identity": _suite_identity,
-    "iterlog": _suite_iterlog,
-    "loggn": _suite_loggn,
-}
-
-
 def cmd_verify(args) -> int:
-    fn = _SUITES[args.suite]
+    # imported here so that run, check and sweep do not load the suites
+    from . import verify
+
     print(f"suite: {args.suite}")
     t0 = time.time()
-    rows = fn()
-    ok_all = True
-    for name, values, order_text, ok in rows:
-        ok_all = ok_all and ok
-        print(_fmt_row(name, values, order_text, ok))
+    rows = getattr(verify, args.suite)()
+    for row in rows:
+        print(verify.format_row(*row))
+    ok_all = all(row.ok for row in rows)
     print(f"result: {'PASS' if ok_all else 'FAIL'} ({time.time() - t0:.1f}s)")
     return 0 if ok_all else 1
 
@@ -568,7 +390,8 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("verify", help="run a built-in property suite")
-    sp.add_argument("suite", choices=sorted(_SUITES))
+    sp.add_argument("suite",
+                    choices=("identity", "iterlog", "loggn", "operators"))
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("sweep", help="run a Cartesian parameter sweep")

@@ -1,8 +1,9 @@
 """End-to-end acceptance checks, one per shipped guarantee.
 
-Each test prints a single "[criterion N] PASS/FAIL" line (visible under
+Each test prints a "[criterion N] PASS/FAIL" line (visible under
 pytest -s) and asserts the same condition, so the suite doubles as a
-readable checklist of what the package promises.
+readable checklist of what the package promises.  Criteria 1, 5, 6 and 9
+print below it the rows of the `chemohapto verify` suite they assert on.
 """
 
 import math
@@ -27,16 +28,14 @@ from chemohapto import (
     check_boundedness,
     classify_run,
     compatibility_constant,
-    damping_rate_estimate,
     initial_state,
-    log_gn_check,
     mass_cap,
     run,
     solve_elliptic_v,
     step,
 )
+from chemohapto import verify
 from chemohapto.cli import main as cli_main
-from chemohapto.diagnostics import identity_residual
 from chemohapto.io import read_report, write_report
 
 
@@ -54,36 +53,24 @@ def _bump_ic(g: Grid, mass: float, sigma: float, w_level: float) -> InitialData:
     return InitialData(u0=u0, w0=w0, A=compatibility_constant(g, w0))
 
 
-def _orders(errs) -> list:
-    return [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+def _suite_verdict(n: int, suite, limit: float = math.inf) -> None:
+    """Criterion n: every row of a verify suite passes, within `limit` s."""
+    t0 = time.perf_counter()
+    rows = suite()
+    elapsed = time.perf_counter() - t0
+    passed = sum(1 for row in rows if row.ok)
+    bound = "" if math.isinf(limit) else f" < {limit:.0f}s"
+    _verdict(n, passed == len(rows) and elapsed < limit,
+             f"verify {suite.__name__}: {passed}/{len(rows)} rows pass, "
+             f"{elapsed:.1f}s{bound}\n"
+             + "\n".join(verify.format_row(*row) for row in rows))
 
 
 # ---------------------------------------------------------------- 1
 
 
 def test_criterion_01_operator_correctness():
-    t0 = time.perf_counter()
-    errs, cons = [], []
-    for nx in (32, 64, 128):
-        g = Grid(nx, nx)
-        X, Y = g.mesh()
-        f = np.cos(np.pi * X) * np.cos(np.pi * Y)
-        lap = g.laplacian_neumann(f)
-        errs.append(g.norm(lap + 2.0 * math.pi ** 2 * f, math.inf))
-        rough = np.exp(0.4 * np.sin(2 * np.pi * X) + 0.3 * Y)
-        dlap = g.laplacian_neumann(rough)
-        v = 0.5 * X ** 2 + np.cos(np.pi * Y)
-        dtax = g.taxis_divergence(rough, v)
-        cons.append(abs(g.integrate(dlap)) / g.integrate(np.abs(dlap)))
-        cons.append(abs(g.integrate(dtax)) / g.integrate(np.abs(dtax)))
-    orders = _orders(errs)
-    elapsed = time.perf_counter() - t0
-    ok = (all(1.8 <= o <= 2.2 for o in orders)
-          and max(cons) <= 1e-12 and elapsed < 10.0)
-    _verdict(1, ok,
-             f"Laplacian orders {orders[0]:.3f}/{orders[1]:.3f} "
-             f"(target 2.0 +- 0.2), conservation residual {max(cons):.2e} "
-             f"<= 1e-12, {elapsed:.1f}s < 10s")
+    _suite_verdict(1, verify.operators, limit=10.0)
 
 
 # ---------------------------------------------------------------- 2
@@ -205,62 +192,14 @@ def test_criterion_04_structural_bounds():
 
 
 def test_criterion_05_energy_identity_refinement():
-    details = []
-    ok = True
-    for m in (None, 1):
-        errs = []
-        for nx in (32, 64, 128):
-            g = Grid(nx, nx)
-            X, Y = g.mesh()
-            u0 = 1.0 + np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / (2 * 0.2 ** 2))
-            w0 = 0.3 + 0.1 * np.cos(np.pi * X) * np.cos(np.pi * Y)
-            params = ModelParams(chi=0.5, xi=0.25, tau=0.0,
-                                 kinetics=LogisticKinetics(1.0))
-            ic = InitialData(u0=u0, w0=w0, A=compatibility_constant(g, w0))
-            num = Numerics(dt_max=20.0 * g.hx ** 2)
-            st = initial_state(g, params, ic, num)
-            dt = num.dt_max
-            last = math.nan
-            # sample at a fixed physical time, clear of the rough start
-            while st.t < 0.04 - 1e-12:
-                prev = st
-                st = step(g, st, params, dt, num)
-                last = identity_residual(
-                    g, params.chi, params.xi, params.kinetics,
-                    prev.u, st.u, prev.v, st.v, prev.w, st.w, dt, m=m)
-            errs.append(last)
-        orders = _orders(errs)
-        ok = ok and all(b < a for a, b in zip(errs, errs[1:]))
-        ok = ok and min(orders) >= 0.9
-        label = "entropy" if m is None else f"m={m}"
-        details.append(f"{label} orders {orders[0]:.2f}/{orders[1]:.2f}")
-    _verdict(5, ok, "identity residual falls monotonically, "
-             + ", ".join(details) + " (>= 0.9)")
+    _suite_verdict(5, verify.identity)
 
 
 # ---------------------------------------------------------------- 6
 
 
 def test_criterion_06_kinetics_analytics():
-    t0 = time.perf_counter()
-    ok = math.isinf(damping_rate_estimate(LogisticKinetics(1.0), 1))
-    ok = ok and all(damping_rate_estimate(ZeroKinetics(), r) == 0.0
-                    for r in (1, 2, 3))
-    rows = []
-    for k in (1, 2, 3):
-        for mu in (1.0, 2.5):
-            kin = IteratedLogKinetics(k, mu)
-            for r in range(1, k):
-                est = damping_rate_estimate(kin, r)
-                ok = ok and abs(est) < 1e-2 * mu
-            est_k = damping_rate_estimate(kin, k)
-            ok = ok and abs(est_k - mu) <= 0.05 * mu
-            rows.append(f"k={k},mu={mu}: mu_k={est_k:.4f}")
-    elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 5.0
-    _verdict(6, ok,
-             "logistic mu_1=+inf, zero exactly 0, iterated-log table "
-             f"({'; '.join(rows)}) within 5%, {elapsed:.1f}s < 5s")
+    _suite_verdict(6, verify.iterlog, limit=5.0)
 
 
 # ---------------------------------------------------------------- 7
@@ -320,29 +259,7 @@ def test_criterion_08_blowup_contrast():
 
 
 def test_criterion_09_log_gn_holds_on_random_fields():
-    rng = np.random.default_rng(2026)
-    grids = [Grid(16, 16), Grid(32, 32), Grid(48, 48)]
-    failures = 0
-    checked = 0
-    for i in range(50):
-        g = grids[i % 3]
-        X, Y = g.mesh()
-        if i % 2:
-            phi = 0.05 + rng.random(g.shape) ** 2
-        else:
-            phi = 0.2 + rng.uniform(0.1, 2.0) * np.abs(
-                np.cos(rng.integers(1, 4) * np.pi * X)
-                * np.cos(rng.integers(1, 4) * np.pi * Y)
-                + rng.uniform(0.0, 1.0))
-        for m in (1, 2):
-            rep = log_gn_check(g, phi, m=m, q=3.0, r=1.0, eps=0.1)
-            checked += 1
-            if not rep.holds:
-                failures += 1
-    ok = failures == 0 and checked == 100
-    _verdict(9, ok,
-             f"interpolation bound held in {checked - failures}/{checked} "
-             f"checks (50 fields x m in {{1,2}}), q=3, r=1, eps=0.1")
+    _suite_verdict(9, verify.loggn)
 
 
 # ---------------------------------------------------------------- 10

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from chemohapto import ConfigError, Grid, cli, load_config, solve_elliptic_v
+from chemohapto import ConfigError, Grid, cli, load_config, solve_elliptic_v, verify
 from chemohapto.cli import main as cli_main
 from chemohapto.config import build_initial_data, override
 from chemohapto.io import read_field, read_series, write_field
@@ -249,6 +249,22 @@ def test_verify_suites_pass(suite, capsys):
     assert cli_main(["verify", suite]) == 0
     text = capsys.readouterr().out
     assert "FAIL" not in text and "PASS" in text
+
+
+def test_verify_prints_a_failing_row_and_exits_1(monkeypatch, capsys):
+    failing = verify.Row("forced failure", [2.0, 0.5], "1.00", False)
+    monkeypatch.setattr(verify, "iterlog", lambda: [
+        verify.Row("holds", [1.0], "n/a", True), failing])
+    assert cli_main(["verify", "iterlog"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith("PASS") and lines[2].endswith("FAIL")
+    assert lines[2] == verify.format_row(*failing)
+    assert lines[3].startswith("result: FAIL")
+
+
+def test_orders_maps_a_zero_error_to_inf():
+    assert verify.orders([4.0, 1.0, 0.5]) == [2.0, 1.0]
+    assert verify.orders([1e-3, 0.0, 0.0, 1e-3]) == [float("inf")] * 3
 
 
 _SRC = os.path.join(os.path.dirname(__file__), "..", "src")
