@@ -60,12 +60,11 @@ def check_boundedness(
     params: ModelParams,
     ic: InitialData,
     r_max: int = R_MAX,
-    mu_tol: float = MU_TOL,
 ) -> ThresholdReport:
     """Evaluate the boundedness condition for the given setup.
 
     Cases are tried in order: tau0_damping first (tau = 0 and some
-    mu_r above mu_tol for r <= r_max), then the threshold inequality
+    mu_r above MU_TOL for r <= r_max), then the threshold inequality
     (chi - mu_1)^+ * M1 < 1 / (2 C^4); otherwise not_satisfied.
     not_satisfied means "no gate fired", not a blow-up certificate.
     r_max may not exceed R_MAX = 3.
@@ -74,11 +73,10 @@ def check_boundedness(
         raise ValueError(f"r_max must be an integer in [1, {R_MAX}], got {r_max}")
     ic.validate(grid, params.tau)
     kin = params.kinetics
-    w_max = float(np.max(ic.w0))
     u0_mass = grid.integrate(ic.u0)
 
-    mu_r = [damping_rate_estimate(kin, r, w_max=w_max) for r in range(1, r_max + 1)]
-    m1 = mass_cap(kin, u0_mass, grid.area, w_max)
+    mu_r = [damping_rate_estimate(kin, r) for r in range(1, r_max + 1)]
+    m1 = mass_cap(kin, u0_mass, grid.area)
     cgn = gn_constant_estimate(grid, 4.0, 2.0, 2.0)
     cgn4 = cgn ** 4
 
@@ -86,7 +84,7 @@ def check_boundedness(
     lhs = max(params.chi - mu1, 0.0) * m1
     rhs = 1.0 / (2.0 * cgn4)
 
-    if params.tau == 0.0 and any(v > mu_tol for v in mu_r):
+    if params.tau == 0.0 and any(v > MU_TOL for v in mu_r):
         case = CASE_TAU0
     elif lhs < rhs:
         case = CASE_THRESHOLD
@@ -96,7 +94,7 @@ def check_boundedness(
         mu_r=[float(v) for v in mu_r],
         m1=float(m1),
         u0_mass=float(u0_mass),
-        w_max=w_max,
+        w_max=float(np.max(ic.w0)),
         cgn=float(cgn),
         cgn4=float(cgn4),
         chi=params.chi,

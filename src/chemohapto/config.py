@@ -35,7 +35,7 @@ class ConfigError(ValueError):
 
 _SECTIONS = {
     "model": {"chi", "xi", "tau", "kinetics"},
-    "kinetics": {"mu", "a", "b", "gamma", "k"},
+    "kinetics": {n for cls in _KINETICS_TYPES.values() for n in cls.PARAMS},
     "grid": {"nx", "ny", "lx", "ly"},
     "ic": {
         "preset", "mass", "u_value", "w_value", "v_value",
@@ -356,13 +356,6 @@ def load_config(path: str) -> RunConfig:
     """Read and validate a run configuration file."""
     sections, text = read_ini(path)
     return build_run_config(sections, origin=path, text=text)
-
-
-def override(cfg: RunConfig, sec: str, key: str, value) -> RunConfig:
-    """New RunConfig with one raw value replaced, revalidated as a whole."""
-    sections = copy.deepcopy(cfg.sections)
-    sections.setdefault(sec, {})[key] = repr(value) if not isinstance(value, str) else value
-    return build_run_config(sections, origin=cfg.origin)
 
 
 def build_initial_data(cfg: RunConfig) -> InitialData:

@@ -31,12 +31,16 @@ from .kinetics import (
 )
 
 
-def entropy(grid: Grid, u: np.ndarray, eps_u: float = 1e-30) -> float:
-    """int u log u with the 0 log 0 = 0 convention (log floored at eps_u)."""
+# floor of u inside the logarithms and reciprocals of the entropy density
+_EPS_U = 1e-30
+
+
+def entropy(grid: Grid, u: np.ndarray) -> float:
+    """int u log u with the 0 log 0 = 0 convention (log floored at _EPS_U)."""
     grid.check_shape(u)
     if np.min(u) < 0:
         raise ValueError("entropy requires a nonnegative field")
-    return grid.integrate(u * np.log(np.maximum(u, eps_u)))
+    return grid.integrate(u * np.log(np.maximum(u, _EPS_U)))
 
 
 def g_functional(grid: Grid, u: np.ndarray, m: int) -> float:
@@ -72,7 +76,6 @@ def identity_residual(
     w1: np.ndarray,
     dt: float,
     m: Optional[int] = None,
-    eps_u: float = 1e-30,
 ) -> float:
     """|LHS - RHS| of the energy identity across one performed step.
 
@@ -89,14 +92,14 @@ def identity_residual(
     wm = 0.5 * (w0 + w1)
 
     if m is None:
-        H0 = entropy(grid, u0, eps_u)
-        H1 = entropy(grid, u1, eps_u)
+        H0 = entropy(grid, u0)
+        H1 = entropy(grid, u1)
 
         def diss_weight(z):
-            return 1.0 / np.maximum(z, eps_u)
+            return 1.0 / np.maximum(z, _EPS_U)
 
         carrier = um
-        rweight = np.log(np.maximum(um, eps_u)) + 1.0
+        rweight = np.log(np.maximum(um, _EPS_U)) + 1.0
     else:
         H0 = g_functional(grid, u0, m)
         H1 = g_functional(grid, u1, m)
@@ -197,7 +200,7 @@ def make_record(grid, params, state, consts, num, residual: float, dt: float) ->
         mass=grid.integrate(u),
         l2_u=grid.norm(u, 2),
         linf_u=grid.norm(u, math.inf),
-        entropy=entropy(grid, u_pos, num.eps_u),
+        entropy=entropy(grid, u_pos),
         g_m=g_functional(grid, u_pos, num.g_order),
         grad_v_l4=grid.norm(grad_v, 4),
         linf_grad_v=grid.norm(grad_v, math.inf),

@@ -58,10 +58,6 @@ class Grid:
         """Cell-center coordinate arrays X, Y of shape (nx, ny)."""
         return np.meshgrid(self.x, self.y, indexing="ij")
 
-    def lambda1(self) -> float:
-        """First nonzero Neumann eigenvalue pi^2 * min(1/Lx^2, 1/Ly^2)."""
-        return math.pi ** 2 * min(1.0 / self.Lx ** 2, 1.0 / self.Ly ** 2)
-
     def check_shape(self, f: np.ndarray) -> None:
         if f.shape != (self.nx, self.ny):
             raise ValueError(f"field shape {f.shape} does not match grid ({self.nx}, {self.ny})")

@@ -119,11 +119,10 @@ def _colors(t: np.ndarray) -> np.ndarray:
     return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
 
 
-def field_svg(grid: Grid, f: np.ndarray, title: str = "",
-              max_cells: int = 128) -> str:
+def field_svg(grid: Grid, f: np.ndarray, title: str = "") -> str:
     """Self-contained SVG heatmap of one field (inline rects, no deps).
 
-    Fields finer than max_cells per axis are block-averaged first to keep
+    Fields finer than 128 cells per axis are block-averaged first to keep
     file sizes sane; the data range is printed under the title.  The range
     covers the finite cells only; non-finite cells are painted red and
     counted in the range line.
@@ -131,8 +130,8 @@ def field_svg(grid: Grid, f: np.ndarray, title: str = "",
     grid.check_shape(f)
     g = np.asarray(f, dtype=float)
     nx, ny = g.shape
-    sx = max(1, int(math.ceil(nx / max_cells)))
-    sy = max(1, int(math.ceil(ny / max_cells)))
+    sx = max(1, int(math.ceil(nx / 128)))
+    sy = max(1, int(math.ceil(ny / 128)))
     if sx > 1 or sy > 1:
         tx, ty = (nx // sx) * sx, (ny // sy) * sy
         g = g[:tx, :ty].reshape(tx // sx, sx, ty // sy, sy).mean(axis=(1, 3))

@@ -2,12 +2,12 @@
 
 Every source is a member of one family, class Kinetics, whose constructor
 makes f nonincreasing in the adhesive level w.  Hence the sup of f and the
-inf of -f over w in [0, w_max] both sit at w = 0, and the threshold
-quantities below (the mass cap and the damping rates) evaluate f(s, 0)
-only.  The damping-rate estimator measures how strongly -f dominates s^2
-divided by a product of iterated logarithms, which is the quantity that
-separates bounded from potentially aggregating dynamics when the chemical
-responds instantaneously.
+inf of -f over w >= 0 both sit at w = 0, and the threshold quantities
+below (the mass cap and the damping rates) evaluate f(s, 0) only.  The
+damping-rate estimator measures how strongly -f dominates s^2 divided by
+a product of iterated logarithms, which is the quantity that separates
+bounded from potentially aggregating dynamics when the chemical responds
+instantaneously.
 """
 
 from __future__ import annotations
@@ -469,12 +469,7 @@ def _golden_min(fun, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 2
     return d, fd
 
 
-def _check_w_max(w_max: float) -> None:
-    if not (math.isfinite(w_max) and w_max >= 0):
-        raise ValueError(f"w_max must be finite and >= 0, got {w_max}")
-
-
-def mass_cap(spec: Kinetics, u0_mass: float, area: float, w_max: float = 0.0) -> float:
+def mass_cap(spec: Kinetics, u0_mass: float, area: float) -> float:
     """A-priori cap on the total cell mass integral.
 
     Returns u0_mass for the zero source; otherwise
@@ -483,11 +478,9 @@ def mass_cap(spec: Kinetics, u0_mass: float, area: float, w_max: float = 0.0) ->
     coarse log-spaced scan refined with a golden-section search in log(eta).
     Each eta's sup comes from _sup_f_plus_eta (bracket scan plus Brent
     refinement); f(s, 0) on each bracket level is evaluated once and shared
-    by all eta of the scan and the search.
-
-    w_max (the largest adhesive level, finite and >= 0) is validated but
-    does not change the result: by the Kinetics contract the sup over
-    w in [0, w_max] is attained at w = 0.
+    by all eta of the scan and the search.  By the Kinetics contract the
+    sup over w >= 0 is attained at w = 0, so the cap does not depend on
+    the adhesive field.
 
     The floor matters for sources that are negative for every s > 0 (the
     iterated-log family with k >= 2 dips to -mu*e_tower(k-1) near s = 0):
@@ -498,7 +491,6 @@ def mass_cap(spec: Kinetics, u0_mass: float, area: float, w_max: float = 0.0) ->
         raise ValueError(f"u0_mass must be nonnegative, got {u0_mass}")
     if area <= 0:
         raise ValueError(f"area must be positive, got {area}")
-    _check_w_max(w_max)
     if spec.is_zero:
         return float(u0_mass)
     b_cap = spec.cap_b
@@ -525,34 +517,29 @@ def mass_cap(spec: Kinetics, u0_mass: float, area: float, w_max: float = 0.0) ->
 # extended damping rate
 
 
-def default_schedule(r: int, n: int = 64, s_max: float = 1e12) -> np.ndarray:
-    """Geometric sample schedule for the order-r damping rate.
+# a damping-rate tail that grows monotonically past this value reports math.inf
+_DIVERGENCE_THRESHOLD = 1e6
+
+
+def default_schedule(r: int) -> np.ndarray:
+    """Geometric sample schedule for the order-r damping rate: 64 points
+    up to s = 1e12.
 
     Starts above e_tower(r) so that all iterated logs in the weight are
-    positive with margin.
+    positive with margin; r >= 4 raises OverflowError from e_tower.
     """
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise ValueError(f"damping order r must be an integer >= 1, got {r}")
-    s_lo = max(100.0, 1.5 * e_tower(r))
-    if not s_lo < s_max / 100.0:
-        raise ValueError(f"schedule for r={r} cannot reach s_max={s_max}")
-    return np.geomspace(s_lo, s_max, n)
+    return np.geomspace(max(100.0, 1.5 * e_tower(r)), 1e12, 64)
 
 
-def damping_rate_estimate(
-    spec: Kinetics,
-    r: int,
-    w_max: float = 0.0,
-    schedule: np.ndarray | None = None,
-    divergence_threshold: float = 1e6,
-) -> float:
+def damping_rate_estimate(spec: Kinetics, r: int) -> float:
     """Estimate of the order-r damping rate of the source term.
 
     The sampled quantity is
-        min_w (-f(s, w)) * prod_{i=1}^{r} iter_log(i, s) / s^2
-    over a geometric schedule in s, the min taken over w in [0, w_max].
-    By the Kinetics contract it sits at w = 0, so w_max (finite, >= 0) is
-    validated but does not change the result.  The estimator inspects the
+        -f(s, 0) * prod_{i=1}^{r} iter_log(i, s) / s^2
+    over default_schedule(r).  By the Kinetics contract w = 0 gives the
+    infimum over all adhesive levels w >= 0.  The estimator inspects the
     tail half:
 
     * monotone growth that is still gaining more than one percent across
@@ -564,17 +551,7 @@ def damping_rate_estimate(
 
     Zero sources give exactly 0.0.
     """
-    _check_w_max(w_max)
-    if schedule is None:
-        schedule = default_schedule(r)
-    s = np.asarray(schedule, dtype=float)
-    if s.ndim != 1 or len(s) < 16:
-        raise ValueError("schedule must be a 1D array with at least 16 points")
-    if np.any(np.diff(s) <= 0):
-        raise ValueError("schedule must be strictly increasing")
-    if s[0] <= e_tower(r):
-        raise ValueError(f"schedule must start above e_tower({r}) = {e_tower(r):.6g}")
-
+    s = default_schedule(r)
     weight = np.ones_like(s)
     for i in range(1, r + 1):
         weight = weight * iter_log(i, s)
@@ -589,7 +566,7 @@ def damping_rate_estimate(
         # a tail converging from below has already flattened out; log-type
         # divergence keeps gaining a visible fraction per decade
         rel_growth = (tail[-1] - tail[0]) / max(abs(tail[-1]), 1e-300)
-        if np.max(tail) > divergence_threshold or rel_growth > 0.01:
+        if np.max(tail) > _DIVERGENCE_THRESHOLD or rel_growth > 0.01:
             return math.inf
         return float(np.min(tail))
     if np.all(d < 0.0) and tail[-1] < tail[0]:

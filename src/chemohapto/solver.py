@@ -75,7 +75,6 @@ class Numerics:
     cfl_safety: float = 0.4
     dt_max: float = 1e-2
     overflow_guard: float = 1e12
-    eps_u: float = 1e-30
     g_order: int = 1
 
 
@@ -93,7 +92,7 @@ class InitialData:
     v0: Optional[np.ndarray] = None
     A: float = 0.0
 
-    def validate(self, grid: Grid, tau: float, grad_tol: float = 1e-9) -> None:
+    def validate(self, grid: Grid, tau: float) -> None:
         try:
             grid.check_shape(self.u0)
             grid.check_shape(self.w0)
@@ -127,18 +126,19 @@ class InitialData:
             worst = max(worst, float(np.max(dx ** 2 - self.A * wx)))
         if dy.size:
             worst = max(worst, float(np.max(dy ** 2 - self.A * wy)))
-        if worst > grad_tol:
+        if worst > 1e-9:                        # rounding slack
             raise InitialDataError(
                 f"|grad w0|^2 <= A*w0 fails at some face by {worst:.3e} (A={self.A})"
             )
 
 
-def compatibility_constant(grid: Grid, w0: np.ndarray, floor: float = 1e-14) -> float:
+def compatibility_constant(grid: Grid, w0: np.ndarray) -> float:
     """Smallest A with |grad w0|^2 <= A * w0 at faces, with a little slack.
 
-    Faces where the mean of w0 vanishes must carry zero difference,
-    otherwise no finite A exists and a ValueError is raised.
+    Faces where the mean of w0 vanishes (is at most 1e-14) must carry zero
+    difference, otherwise no finite A exists and a ValueError is raised.
     """
+    floor = 1e-14
     dx, dy = grid.face_diff(w0)
     ratios = [0.0]
     for d, wm in ((dx, 0.5 * (w0[:-1, :] + w0[1:, :])), (dy, 0.5 * (w0[:, :-1] + w0[:, 1:]))):
@@ -420,7 +420,6 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
             residual = diagnostics.identity_residual(
                 grid, params.chi, params.xi, params.kinetics,
                 prev.u, state.u, prev.v, state.v, prev.w, state.w, dt,
-                eps_u=num.eps_u,
             )
             result.records.append(
                 diagnostics.make_record(grid, params, state, consts, num,

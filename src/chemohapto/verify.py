@@ -47,9 +47,10 @@ class Row(NamedTuple):
 
 
 def orders(errs) -> list:
-    """Observed orders log2(e_i / e_{i+1}) of errors under halving; a zero
-    error on either side (exact to rounding) gives +inf."""
-    return [math.log2(a / b) if a > 0 and b > 0 else math.inf
+    """Observed orders log2(e_i / e_{i+1}) of errors under halving.  An
+    exact (zero) error gives +inf; a nonzero error after an exact one gives
+    -inf, so a sequence that leaves an exact start fails its row."""
+    return [math.inf if b == 0 else -math.inf if a == 0 else math.log2(a / b)
             for a, b in zip(errs, errs[1:])]
 
 

@@ -125,7 +125,7 @@ def test_criterion_03_mass_law():
     for kin in kins:
         p = ModelParams(chi=0.5, xi=0.25, tau=0.0, kinetics=kin)
         r = run(g2, p, ic2, t_end=1.0, num=Numerics(dt_max=2e-3))
-        cap = mass_cap(kin, m0, area, w_max=0.4)
+        cap = mass_cap(kin, m0, area)
         worst_excess = max(worst_excess,
                            max(rec.mass for rec in r.records) - cap)
     ok = enough and drift <= 1e-9 and worst_excess <= 1e-3

@@ -17,7 +17,6 @@ def test_geometry_basics():
     # cell centers sit half a spacing inside the walls
     assert g.x[0] == pytest.approx(0.5 * g.hx)
     assert g.x[-1] == pytest.approx(2.0 - 0.5 * g.hx)
-    assert g.lambda1() == pytest.approx(math.pi ** 2 / 4.0)
 
 
 def test_constructor_validation():

@@ -22,7 +22,7 @@ def _svg_cases():
     g = Grid(8, 4)
     ties = np.array([0.0, 0.125, 0.3125, 0.375, 0.625, 0.8125, 0.875, 1.0] * 4)
     yield "ties", g, ties.reshape(8, 4), "ties"
-    # finer than max_cells: block-averaged, with a ragged remainder dropped
+    # finer than 128 cells per axis: block-averaged, with a ragged remainder dropped
     g = Grid(300, 260)
     yield "blocked", g, np.random.default_rng(11).random(g.shape), "w"
 

@@ -187,9 +187,9 @@ def test_mass_cap_logistic_closed_form():
     # inner sup of mu s(1-s) + eta s is (mu+eta)^2/(4 mu); sup/eta is
     # minimized at eta = mu where it equals 1, so the cap is
     # u0_mass + area exactly, for every mu
-    got = mass_cap(LogisticKinetics(1.0), 4.0, 1.0, w_max=0.7)
+    got = mass_cap(LogisticKinetics(1.0), 4.0, 1.0)
     assert abs(got - 5.0) <= 1e-8
-    got = mass_cap(LogisticKinetics(2.0), 1.0, 3.0, w_max=0.0)
+    got = mass_cap(LogisticKinetics(2.0), 1.0, 3.0)
     assert abs(got - 4.0) <= 1e-8
 
 
@@ -198,9 +198,9 @@ def test_mass_cap_never_below_initial_mass():
     # mu = 1, so the optimized correction floors at zero
     for kin in (IteratedLogKinetics(2, 1.0), IteratedLogKinetics(3, 1.0),
                 PowerSubLogistic(1, 1, 0.5), LogLogSubLogistic(1, 1)):
-        got = mass_cap(kin, 4.0, 1.0, w_max=0.5)
+        got = mass_cap(kin, 4.0, 1.0)
         assert got >= 4.0
-    assert mass_cap(IteratedLogKinetics(2, 1.0), 4.0, 1.0, 0.5) == 4.0
+    assert mass_cap(IteratedLogKinetics(2, 1.0), 4.0, 1.0) == 4.0
 
 
 def test_mass_cap_validation():
@@ -225,17 +225,17 @@ def test_schedule():
 
 def test_damping_zero_kinetics_exact():
     for r in (1, 2, 3):
-        assert damping_rate_estimate(ZeroKinetics(), r, w_max=1.0) == 0.0
+        assert damping_rate_estimate(ZeroKinetics(), r) == 0.0
 
 
 def test_damping_logistic_flags_infinite():
-    assert math.isinf(damping_rate_estimate(LogisticKinetics(1.0), 1, w_max=2.0))
-    assert math.isinf(damping_rate_estimate(LogisticKinetics(0.1), 2, w_max=0.0))
+    assert math.isinf(damping_rate_estimate(LogisticKinetics(1.0), 1))
+    assert math.isinf(damping_rate_estimate(LogisticKinetics(0.1), 2))
 
 
 def test_damping_sublog_variants_flag_infinite():
-    assert math.isinf(damping_rate_estimate(PowerSubLogistic(1, 1, 0.5), 1, 1.0))
-    assert math.isinf(damping_rate_estimate(LogLogSubLogistic(1, 1), 1, 1.0))
+    assert math.isinf(damping_rate_estimate(PowerSubLogistic(1, 1, 0.5), 1))
+    assert math.isinf(damping_rate_estimate(LogLogSubLogistic(1, 1), 1))
 
 
 def test_damping_iterlog_table():
@@ -243,28 +243,18 @@ def test_damping_iterlog_table():
     for k, mu in ((1, 1.0), (2, 1.0), (2, 2.0), (3, 1.0)):
         kin = IteratedLogKinetics(k, mu)
         for r in range(1, k):
-            est = damping_rate_estimate(kin, r, w_max=1.0)
+            est = damping_rate_estimate(kin, r)
             assert abs(est) < 1e-2 * mu
-        est_k = damping_rate_estimate(kin, k, w_max=1.0)
+        est_k = damping_rate_estimate(kin, k)
         assert abs(est_k - mu) <= 0.05 * mu
         if k + 1 <= 3:
-            assert math.isinf(damping_rate_estimate(kin, k + 1, w_max=1.0))
+            assert math.isinf(damping_rate_estimate(kin, k + 1))
 
 
 def test_damping_order_four_needs_unrepresentable_samples():
     # a schedule for r = 4 must start above e^[4] ~ 10^1656187
     with pytest.raises(OverflowError):
-        damping_rate_estimate(IteratedLogKinetics(3, 1.0), 4, w_max=1.0)
-
-
-def test_damping_w_scan_infimum_at_zero():
-    # every built-in f is decreasing in w, so -f grows with w and the
-    # infimum over [0, w_max] always sits at w = 0: widening the scan
-    # window must not move the estimate
-    kin = IteratedLogKinetics(1, 1.0)
-    lo = damping_rate_estimate(kin, 1, w_max=0.0)
-    hi = damping_rate_estimate(kin, 1, w_max=3.0)
-    assert hi == lo and 0.9 <= lo <= 1.1
+        damping_rate_estimate(IteratedLogKinetics(3, 1.0), 4)
 
 
 # ---------------------------------------------------------------- w contract
@@ -284,24 +274,6 @@ def test_every_builtin_is_nonincreasing_in_w(s, w1, dw):
     # the Kinetics contract that lets the threshold quantities use w = 0
     for kin in BUILTINS:
         assert kin.f(s, w1 + dw) <= kin.f(s, w1)
-
-
-def test_threshold_quantities_do_not_depend_on_w_max():
-    for kin in BUILTINS:
-        caps = [mass_cap(kin, 4.0, 1.0, w_max=wm) for wm in (0.0, 0.5, 3.0)]
-        assert caps[0] == caps[1] == caps[2]
-        for r in (1, 2, 3):
-            rates = [damping_rate_estimate(kin, r, w_max=wm) for wm in (0.0, 0.5, 3.0)]
-            assert rates[0] == rates[1] == rates[2]
-
-
-def test_w_max_must_be_finite_and_nonnegative():
-    kin = LogisticKinetics(1.0)
-    for bad in (-0.1, math.inf, math.nan):
-        with pytest.raises(ValueError, match="w_max"):
-            mass_cap(kin, 1.0, 1.0, w_max=bad)
-        with pytest.raises(ValueError, match="w_max"):
-            damping_rate_estimate(kin, 1, w_max=bad)
 
 
 def test_scalar_arguments_give_a_float():
@@ -421,7 +393,7 @@ REFERENCE = {
                                        range(1, kin.k + 1))),
 }
 
-# (source, cap_a, cap_b, mass_cap(source, 4, 1, 0.5), mu_1..mu_3), recorded
+# (source, cap_a, cap_b, mass_cap(source, 4, 1), mu_1..mu_3), recorded
 # from the closed forms above
 PINNED = (
     (ZeroKinetics(), None, None, 4.0, (0.0, 0.0, 0.0)),
@@ -478,7 +450,7 @@ def test_family_matches_the_closed_forms_bitwise(points):
 def test_threshold_quantities_match_the_closed_forms():
     for kin, cap_a, cap_b, m1, mu in PINNED:
         assert (kin.cap_a, kin.cap_b) == (cap_a, cap_b)
-        assert mass_cap(kin, 4.0, 1.0, 0.5) == m1
+        assert mass_cap(kin, 4.0, 1.0) == m1
         assert tuple(damping_rate_estimate(kin, r) for r in (1, 2, 3)) == mu
 
 
@@ -538,7 +510,7 @@ def test_bounded_min_matches_scipy_on_the_source_envelopes(monkeypatch):
     monkeypatch.setattr(kinetics, "_bounded_min", checked)
     for kin, _, _, m1, _ in PINNED:
         before = len(seen)
-        assert mass_cap(kin, 4.0, 1.0, 0.5) == m1
+        assert mass_cap(kin, 4.0, 1.0) == m1
         assert len(seen) - before >= (0 if kin.is_zero else 33)
 
 
@@ -557,7 +529,7 @@ def test_mass_cap_evaluates_each_bracket_level_once(monkeypatch):
         real_sup = kinetics._sup_f_plus_eta
         monkeypatch.setattr(kinetics, "_sup_f_plus_eta",
                             lambda *a: sups.append(a[1]) or real_sup(*a))
-        assert mass_cap(kin, 4.0, 1.0, 0.5) == m1
+        assert mass_cap(kin, 4.0, 1.0) == m1
         monkeypatch.undo()
         assert len(levels) == len(set(levels))
         if kin.is_zero:
