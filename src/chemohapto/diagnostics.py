@@ -218,9 +218,24 @@ def make_record(grid, params, state, consts, num, residual: float, dt: float) ->
 # interpolation constants
 
 
+# exp(t) for t <= -748 is below 2^-1079 and rounds to +0 (gn_constant_estimate)
+_EXP_ZERO_BELOW = -748.0
+
+
 def _gn_delta(p: float, q: float) -> float:
     # two space dimensions: 1/p = (1 - delta)/q along the scaling line
     return 1.0 - q / p
+
+
+def _gaussian_bump(grid: Grid, cx: float, cy: float, log_sigma: float,
+                   base: float) -> np.ndarray:
+    """base + exp(-|x - c|^2 / (2 sigma^2)) at the cell centers."""
+    sig = math.exp(log_sigma)
+    t = ((grid.x - cx) ** 2)[:, None] + ((grid.y - cy) ** 2)[None, :]
+    t = -t / (2.0 * sig * sig)
+    phi = np.exp(t, out=np.zeros(t.shape), where=~(t <= _EXP_ZERO_BELOW))
+    phi += base
+    return phi
 
 
 def gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
@@ -233,10 +248,20 @@ def gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
     cosine modes with and without offsets, Gaussian bumps swept over nine
     anchor points and a range of widths, and a pattern-search refinement
     of the best bump.  Enlarging the family can only raise the value.
+
+    On the far tails of narrow bumps exp and the norms' powers underflow,
+    and libm's underflow paths are slow.  They are skipped without
+    changing a bit: a bump's exponent t is built from the 1-D cell
+    centers by a broadcast add (the same per-element operations as on the
+    2-D meshes), and exp is only taken where t > _EXP_ZERO_BELOW.  Below
+    it the exact value is under 2^-1079, less than a sixteenth of the
+    smallest subnormal, so the skipped lanes keep the +0 that exp rounds
+    to.  Grid.norm skips its powers the same way, so every field, every
+    ratio and the returned value equal those of the unmasked formulas.
     """
     if not (p > q >= 1):
         raise ValueError(f"need p > q >= 1, got p={p}, q={q}")
-    if r < 1:
+    if not r >= 1:
         raise ValueError(f"need r >= 1, got r={r}")
     delta = _gn_delta(p, q)
     X, Y = grid.mesh()
@@ -245,8 +270,9 @@ def gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
         num_ = grid.norm(phi, p)
         if num_ == 0.0:
             return 0.0
-        den = grid.grad_norm(phi, 2) ** delta * grid.norm(phi, q) ** (1 - delta) + grid.norm(phi, r)
-        return num_ / den
+        nq = grid.norm(phi, q)
+        nr = nq if q == r else grid.norm(phi, r)
+        return num_ / (grid.grad_norm(phi, 2) ** delta * nq ** (1 - delta) + nr)
 
     best = ratio(np.ones((grid.nx, grid.ny)))
 
@@ -254,11 +280,6 @@ def gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
         mode = np.cos(i * math.pi * X / grid.Lx) * np.cos(j * math.pi * Y / grid.Ly)
         for c in (0.0, 0.5, 1.0):
             best = max(best, ratio(np.abs(mode + c)))
-
-    def bump(cx, cy, log_sigma, base):
-        sig = math.exp(log_sigma)
-        phi = np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * sig * sig))
-        return phi + base
 
     anchors = [
         (ax * grid.Lx, ay * grid.Ly)
@@ -270,7 +291,7 @@ def gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
     best_params = None
     for cx, cy in anchors:
         for sig in np.geomspace(sig_lo, sig_hi, 6):
-            val = ratio(bump(cx, cy, math.log(sig), 0.0))
+            val = ratio(_gaussian_bump(grid, cx, cy, math.log(sig), 0.0))
             if val > best:
                 best = val
                 best_params = [cx, cy, math.log(sig), 0.0]
@@ -286,7 +307,7 @@ def gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
                     trial[idx] += sgn * steps[idx]
                     if trial[3] < 0.0:
                         continue
-                    val = ratio(bump(*trial))
+                    val = ratio(_gaussian_bump(grid, *trial))
                     if val > best:
                         best = val
                         best_params = trial

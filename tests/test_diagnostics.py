@@ -24,7 +24,7 @@ from chemohapto import (
     plateau_ratio,
     step,
 )
-from chemohapto.diagnostics import DiagnosticsRecord
+from chemohapto.diagnostics import DiagnosticsRecord, _gaussian_bump
 
 
 # ---------------------------------------------------------------- entropy
@@ -198,6 +198,129 @@ def test_gn_estimate_validation():
         gn_constant_estimate(g, 2, 2, 2)     # needs p > q
     with pytest.raises(ValueError):
         gn_constant_estimate(g, 4, 0.5, 2)   # q >= 1
+    # a nan order is rejected, not read as 1.0 (ones ** nan == 1)
+    for p, q, r in ((4, 2, math.nan), (math.nan, 2, 2), (4, math.nan, 2),
+                    (4, 2, 0.5)):
+        with pytest.raises(ValueError):
+            gn_constant_estimate(g, p, q, r)
+
+
+# gn_constant_estimate as it stood before it skipped the lanes that round
+# to +0, run on a grid with the kernels of that time (the ref_grid fixture
+# of conftest.py); the estimator must reproduce it bit for bit.
+
+
+def _ref_gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
+    if not (p > q >= 1):
+        raise ValueError(f"need p > q >= 1, got p={p}, q={q}")
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r={r}")
+    delta = 1.0 - q / p
+    X, Y = grid.mesh()
+
+    def ratio(phi: np.ndarray) -> float:
+        num_ = grid.norm(phi, p)
+        if num_ == 0.0:
+            return 0.0
+        den = grid.grad_norm(phi, 2) ** delta * grid.norm(phi, q) ** (1 - delta) + grid.norm(phi, r)
+        return num_ / den
+
+    best = ratio(np.ones((grid.nx, grid.ny)))
+
+    for i, j in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)):
+        mode = np.cos(i * math.pi * X / grid.Lx) * np.cos(j * math.pi * Y / grid.Ly)
+        for c in (0.0, 0.5, 1.0):
+            best = max(best, ratio(np.abs(mode + c)))
+
+    def bump(cx, cy, log_sigma, base):
+        sig = math.exp(log_sigma)
+        phi = np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * sig * sig))
+        return phi + base
+
+    anchors = [
+        (ax * grid.Lx, ay * grid.Ly)
+        for ax in (0.0, 0.5, 1.0)
+        for ay in (0.0, 0.5, 1.0)
+    ]
+    sig_lo = max(grid.hx, grid.hy)
+    sig_hi = 0.25 * min(grid.Lx, grid.Ly)
+    best_params = None
+    for cx, cy in anchors:
+        for sig in np.geomspace(sig_lo, sig_hi, 6):
+            val = ratio(bump(cx, cy, math.log(sig), 0.0))
+            if val > best:
+                best = val
+                best_params = [cx, cy, math.log(sig), 0.0]
+
+    if best_params is not None:
+        # pattern search over center, log-width, and additive offset
+        steps = [0.1 * grid.Lx, 0.1 * grid.Ly, 0.3, 0.05]
+        for _ in range(40):
+            improved = False
+            for idx in range(4):
+                for sgn in (+1.0, -1.0):
+                    trial = list(best_params)
+                    trial[idx] += sgn * steps[idx]
+                    if trial[3] < 0.0:
+                        continue
+                    val = ratio(bump(*trial))
+                    if val > best:
+                        best = val
+                        best_params = trial
+                        improved = True
+            if not improved:
+                steps = [s * 0.5 for s in steps]
+                if max(steps) < 1e-4:
+                    break
+    return float(best)
+
+
+GN_GEOMETRIES = (
+    (32, 32, 1.0, 1.0),
+    (48, 48, 1.0, 1.0),
+    (64, 32, 2.0, 1.0),
+    (48, 48, 2.0, 2.0),
+    (33, 47, 1.3, 0.7),
+    (17, 64, 0.5, 3.0),
+    (25, 39, 3.0, 2.0),
+    (40, 24, 1.0, 0.6),
+    (21, 21, 0.4, 0.4),
+)
+
+
+@pytest.mark.parametrize("pqr", [(4, 2, 2), (3, 1, 1), (4, 2, 3)])
+def test_gn_estimate_matches_unmasked_estimator_bitwise(ref_grid, pqr):
+    for shape in GN_GEOMETRIES:
+        est = gn_constant_estimate(Grid(*shape), *pqr)
+        ref = _ref_gn_constant_estimate(ref_grid(*shape), *pqr)
+        assert est.hex() == ref.hex(), (shape, pqr)
+
+
+def test_gn_estimate_bump_witness_pinned():
+    # on the unit square the constant floor 1.0 always wins, which would
+    # hide drift in every other member of the family; here a bump beats
+    # the floor |Omega|^(1/3 - 1) and the pattern search runs
+    g = Grid(64, 32, 2.0, 1.0)
+    est = gn_constant_estimate(g, 3, 1, 1)
+    assert est == 0.9873703767745873
+    assert est > 2.0 ** (1.0 / 3.0 - 1.0) + 0.3
+
+
+@pytest.mark.parametrize("shape", [(64, 64, 1.0, 1.0), (33, 47, 1.3, 0.7)])
+def test_gaussian_bump_matches_mesh_formula_bitwise(shape):
+    g = Grid(*shape)
+    X, Y = g.mesh()
+    centres = [(0.0, 0.0), (g.Lx, g.Ly), (0.0, g.Ly), (g.Lx, 0.0),
+               (0.5 * g.Lx, 0.5 * g.Ly), (-0.1, 0.3 * g.Ly)]
+    widths = [g.hx / 3.0, max(g.hx, g.hy), 0.05, 0.25 * min(g.Lx, g.Ly),
+              2.0 * g.Lx]
+    for cx, cy in centres:
+        for log_sigma in map(math.log, widths):
+            sig = math.exp(log_sigma)
+            for base in (0.0, 0.05):
+                ref = np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * sig * sig)) + base
+                out = _gaussian_bump(g, cx, cy, log_sigma, base)
+                assert out.tobytes() == ref.tobytes(), (cx, cy, sig, base)
 
 
 def test_log_gn_check_holds_and_reports():

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chemohapto import Grid
 
@@ -112,8 +115,9 @@ def test_norms():
     assert g.norm(f, 1) == pytest.approx(2.0)
     assert g.norm(f, 2) == pytest.approx(2.0)
     assert g.norm(f, math.inf) == 2.0
-    with pytest.raises(ValueError):
-        g.norm(f, 0.5)
+    for bad in (0.5, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            g.norm(f, bad)
 
 
 def test_gradient_norm_linear_profile():
@@ -176,3 +180,118 @@ def test_taxis_matches_min_max_donor_formula_bitwise():
         out = g.taxis_divergence(u, phi, faces=faces)
         assert out.tobytes() == ref.tobytes()
         assert faces[0].tobytes() == ax.tobytes() and faces[1].tobytes() == ay.tobytes()
+
+
+# Bit-identity of the kernels that skip lanes whose result is known, against
+# the verbatim old kernels of the ref_grid fixture (conftest.py).
+
+
+ORDERS = (1, 1.5, 2, 3, 4, 6.5, math.inf)
+_TINY = 5e-324   # smallest subnormal
+
+
+def _near_cuts():
+    # the lane cut 2^(-1078/p) of every finite order and its neighbours
+    out = []
+    for p in ORDERS:
+        if p != math.inf:
+            cut = 2.0 ** (-1078.0 / p)
+            out += [cut, np.nextafter(cut, 0.0), np.nextafter(cut, 1.0),
+                    0.5 * cut, 2.0 * cut]
+    return out
+
+
+SPECIAL = [0.0, -0.0, _TINY, -_TINY, 2.2250738585072014e-308, 1e-200, 1.0,
+           -1.0, 1e300, -1e300, math.nan, math.inf, -math.inf] + _near_cuts()
+battery_values = st.one_of(
+    st.sampled_from(SPECIAL + [-v for v in _near_cuts()]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-1e-100, max_value=1e-100),
+)
+battery_fields = st.tuples(st.integers(4, 9), st.integers(4, 9)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=battery_values))
+
+
+def _bytes(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(battery_fields, st.sampled_from(ORDERS))
+@example(np.full((4, 4), _TINY), 4)
+@example(np.full((5, 4), 2.0 ** (-1078.0 / 6.5)), 6.5)
+@example(np.full((4, 6), -0.0), 1.5)
+def test_norm_matches_unmasked_power_bitwise(ref_grid, f, p):
+    g, ref = Grid(*f.shape, 1.3, 0.7), ref_grid(*f.shape, 1.3, 0.7)
+    with np.errstate(all="ignore"):
+        assert _bytes(g.norm(f, p)) == _bytes(ref.norm(f, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(battery_values, st.sampled_from(ORDERS))
+def test_norm_uniform_field_matches_its_power_bitwise(ref_grid, v, p):
+    # 16 equal lanes on the unit square: the quadrature sum times 1/16 is
+    # |v|^p exactly, so a lane skipped whose power is a subnormal shows
+    g, ref = Grid(4, 4), ref_grid(4, 4)
+    f = np.full(g.shape, v)
+    with np.errstate(all="ignore"):
+        assert _bytes(g.norm(f, p)) == _bytes(ref.norm(f, p))
+
+
+def test_norm_resolves_the_first_nonzero_power(ref_grid):
+    # |v|^p = 2^(k - 1078): k <= 3 rounds to +0, k = 4 is the smallest
+    # subnormal, so a cut placed a factor 2^4 too high in |v|^p fails
+    g, ref = Grid(4, 4), ref_grid(4, 4)
+    for p in ORDERS[:-1]:
+        for k in range(-2, 12):
+            f = np.full(g.shape, 2.0 ** ((k - 1078.0) / p))
+            assert _bytes(g.norm(f, p)) == _bytes(ref.norm(f, p))
+        assert g.norm(np.full(g.shape, 2.0 ** (-1074.0 / p)), p) > 0.0
+
+
+def test_norm_orders_past_the_masked_range(ref_grid):
+    # for huge p the rounded cut reaches 1, where |f|^p is not 0
+    g, ref = Grid(4, 4), ref_grid(4, 4)
+    f = np.full(g.shape, 1.0)
+    f[0, :] = [np.nextafter(1.0, 0.0), 1.0 - 1e-15, 0.5, 2.0 ** (-1e-13)]
+    for p in (2.0 ** 32, 2.0 ** 33, 1e17, 1e300):
+        with np.errstate(all="ignore"):
+            assert _bytes(g.norm(f, p)) == _bytes(ref.norm(f, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(battery_fields)
+def test_grad_magnitude_matches_zero_filled_accumulators_bitwise(ref_grid, f):
+    g, ref = Grid(*f.shape, 0.9, 1.7), ref_grid(*f.shape, 0.9, 1.7)
+    with np.errstate(all="ignore"):
+        assert g.grad_magnitude(f).tobytes() == ref.grad_magnitude(f).tobytes()
+
+
+def test_kernels_bitwise_on_smooth_and_bump_fields(ref_grid):
+    g, ref = Grid(33, 20, 1.3, 0.7), ref_grid(33, 20, 1.3, 0.7)
+    X, Y = g.mesh()
+    rng = np.random.default_rng(11)
+    fields = [rng.random(g.shape), np.cos(np.pi * X) * np.cos(2 * np.pi * Y)]
+    for sig in (g.hx, 0.01, 0.1):
+        fields.append(np.exp(-(X ** 2 + (Y - 0.35) ** 2) / (2 * sig * sig)))
+    for f in fields:
+        assert g.grad_magnitude(f).tobytes() == ref.grad_magnitude(f).tobytes()
+        for p in ORDERS:
+            assert _bytes(g.norm(f, p)) == _bytes(ref.norm(f, p))
+
+
+def test_platform_rounds_the_skipped_lanes_to_zero():
+    # Grid.norm skips |f|^p for |f| <= 2^(-1078/p) and the Gaussian bumps
+    # of the C_GN estimate skip exp(t) for t <= -748; both rely on the
+    # power and the exponential rounding those lanes to +0.  A numpy or
+    # libm that does not fails here rather than in a changed C_GN.
+    for p in ORDERS[:-1]:
+        cut = 2.0 ** (-1078.0 / p)
+        below = [cut, np.nextafter(cut, 0.0), 0.5 * cut, _TINY, 0.0]
+        x = np.array([v for v in below if v <= cut] * 7)
+        out = np.power(x, p)
+        assert np.all(out == 0.0) and not np.any(np.signbit(out))
+    t = np.array([-746.0, np.nextafter(-746.0, -math.inf), -748.0, -1078.0,
+                  -1e300, -math.inf] * 7)
+    out = np.exp(t)
+    assert np.all(out == 0.0) and not np.any(np.signbit(out))
