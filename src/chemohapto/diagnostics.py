@@ -249,6 +249,10 @@ def gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
     anchor points and a range of widths, and a pattern-search refinement
     of the best bump.  Enlarging the family can only raise the value.
 
+    Each cosine mode is the broadcast product of two 1-D cosines of the
+    cell centers: the same per-element operations as on the 2-D meshes,
+    with nx + ny cosines in place of 2*nx*ny.
+
     On the far tails of narrow bumps exp and the norms' powers underflow,
     and libm's underflow paths are slow.  They are skipped without
     changing a bit: a bump's exponent t is built from the 1-D cell
@@ -264,7 +268,6 @@ def gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
     if not r >= 1:
         raise ValueError(f"need r >= 1, got r={r}")
     delta = _gn_delta(p, q)
-    X, Y = grid.mesh()
 
     def ratio(phi: np.ndarray) -> float:
         num_ = grid.norm(phi, p)
@@ -277,7 +280,8 @@ def gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
     best = ratio(np.ones((grid.nx, grid.ny)))
 
     for i, j in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)):
-        mode = np.cos(i * math.pi * X / grid.Lx) * np.cos(j * math.pi * Y / grid.Ly)
+        mode = (np.cos(i * math.pi * grid.x / grid.Lx)[:, None]
+                * np.cos(j * math.pi * grid.y / grid.Ly)[None, :])
         for c in (0.0, 0.5, 1.0):
             best = max(best, ratio(np.abs(mode + c)))
 

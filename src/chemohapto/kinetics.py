@@ -156,7 +156,12 @@ class Kinetics:
 
     def f(self, s, w):
         """The source at densities s and adhesive levels w, vectorized over
-        arrays; a float when both are scalars."""
+        arrays; a float when both are scalars.
+
+        With gamma > 0 a scalar s goes through numpy's scalar pow, which
+        differs from the array loop of ** in the last bit for some bases,
+        so f(s, w) need not equal f(np.array([s]), w)[0] bit for bit.
+        """
         s = np.asarray(s, dtype=float)
         w = np.asarray(w, dtype=float)
         if self.r:
@@ -170,6 +175,40 @@ class Kinetics:
                 damp = self._damping(safe)
             out = out - np.where(s > 0.0, damp, 0.0)
         return float(out) if np.ndim(out) == 0 else out
+
+    def _f0(self, s: float) -> float:
+        """f(s, 0) for one float s, bit for bit f(np.array([s]), 0.0)[0].
+
+        The Brent refinement of the mass cap evaluates the source one point
+        at a time, where the per-call cost of numpy arrays would dominate.
+        + - * / and the max with 1e-300 run on Python floats, which round
+        them correctly, as numpy does.  The logarithms stay np.log and
+        np.log1p called on a float, which run numpy's own float64 kernels:
+        libm's math.log and math.log1p differ from those in the last bit for
+        some arguments.  log1p(s)**gamma stays a one-element array power, as
+        numpy's scalar pow differs from the array loop (which takes sqrt for
+        gamma = 0.5).  Where the divisor is lost (s below ~1e-16), the
+        log-space rebuild of _damping takes over.
+        """
+        out = 0.0
+        if self.r:
+            bracket = self.a - self.lam * s if self.lam else self.a
+            out = (s if self.r == 1.0 else self.r * s) * bracket
+        if not (self.c and s > 0.0):
+            return out
+        safe = max(s, 1e-300)
+        div = float((np.log1p(np.array([safe])) ** self.gamma)[0]) if self.gamma else None
+        for i, shift in zip(self.depths, self._shifts):
+            lg = safe + shift
+            for _ in range(i):
+                lg = float(np.log(lg))
+            div = lg if div is None else div * lg
+        if div is None:
+            return out - self.c * safe * safe
+        if div > 0.0:
+            return out - self.c * safe * safe / div
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return out - float(self._damping(np.array([safe]))[0])
 
     def _damping(self, safe):
         """c*safe^2 / P(safe) for safe > 0.
@@ -329,11 +368,6 @@ def _sup_f_plus_eta(spec: Kinetics, eta: float, brackets: dict | None = None) ->
     """
     if brackets is None:
         brackets = {}
-
-    def envelope(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return spec.f(s, 0.0) + eta * s
-
     s_hi = 1e8
     for _ in range(12):
         if s_hi not in brackets:
@@ -351,8 +385,7 @@ def _sup_f_plus_eta(spec: Kinetics, eta: float, brackets: dict | None = None) ->
             raise RuntimeError("inner envelope sup did not stabilize under bracket expansion")
     lo = s_grid[max(j - 1, 0)]
     hi = s_grid[min(j + 1, len(s_grid) - 1)]
-    # one-element arrays on purpose: scalar and array ** differ in the last bit
-    _, fun, _ = _bounded_min(lambda t: -float(envelope(math.exp(t))[0]),
+    _, fun, _ = _bounded_min(lambda t: -(spec._f0(math.exp(t)) + eta * math.exp(t)),
                              math.log(lo), math.log(hi), xatol=1e-13)
     peak = max(float(vals[j]), -fun)
     # tiny inflation so the recorded envelope is a certified upper bound

@@ -447,6 +447,30 @@ def test_family_matches_the_closed_forms_bitwise(points):
                 assert _same_bits(kin.f(*args), ref(kin, *args))
 
 
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(math.log(1e-300), math.log(1e300)).map(math.exp))
+@example(s=1e-300)
+@example(s=1e-200)
+@example(s=1e-16)       # the divisor is lost: log-space fallback
+@example(s=1e-9)        # the lower end of every bracket grid
+def test_float_evaluator_matches_the_array_path_bitwise(s):
+    # mass_cap's Brent refinement evaluates f(s, 0) through _f0; PINNED
+    # holds every BUILTINS source
+    with np.errstate(all="ignore"):
+        for kin, *_ in PINNED:
+            assert _same_bits(kin._f0(s), kin.f(np.array([s]), 0.0)[0]), (kin, s)
+
+
+def test_float_evaluator_matches_a_bracket_grid_bitwise():
+    # one draw above meets a last-bit log1p difference between numpy and
+    # libm about once in 5000; the grid of mass_cap's first bracket level
+    # meets dozens, and checks against the long-array loop as well
+    s_grid = np.geomspace(1e-9, 1e8, 4096)
+    for kin, *_ in PINNED:
+        out = np.array([kin._f0(s) for s in s_grid.tolist()])
+        assert _same_bits(out, kin.f(s_grid, 0.0)), kin
+
+
 def test_threshold_quantities_match_the_closed_forms():
     for kin, cap_a, cap_b, m1, mu in PINNED:
         assert (kin.cap_a, kin.cap_b) == (cap_a, cap_b)
@@ -536,3 +560,19 @@ def test_mass_cap_evaluates_each_bracket_level_once(monkeypatch):
             assert levels == [] and sups == []
         else:
             assert 1 <= len(levels) <= 12 and len(sups) > 33
+
+
+def test_mass_cap_evaluates_f_on_bracket_grids_only(monkeypatch):
+    real_f = Kinetics.f
+    for kin, _, _, m1, _ in PINNED:
+        sizes = []
+
+        def counting(self, s, w):
+            sizes.append(np.size(s))
+            return real_f(self, s, w)
+
+        monkeypatch.setattr(Kinetics, "f", counting)
+        assert mass_cap(kin, 4.0, 1.0) == m1
+        monkeypatch.undo()
+        assert set(sizes) <= {4096}
+        assert (sizes == []) == kin.is_zero
