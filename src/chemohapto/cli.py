@@ -127,7 +127,7 @@ def cmd_run(args) -> int:
     try:
         cfg = _apply_cli_overrides(load_config(args.config), args)
         ic = build_initial_data(cfg)
-        ic.validate(cfg.grid, cfg.params.tau)
+        threshold = check_boundedness(cfg.grid, cfg.params, ic)
     except (ConfigError, InitialDataError, ValueError, OSError) as exc:
         return _fail(str(exc))
 
@@ -143,7 +143,6 @@ def cmd_run(args) -> int:
         return _fail(f"solver failed: {exc}", code=1)
     elapsed = time.time() - t0
 
-    threshold = check_boundedness(cfg.grid, cfg.params, ic)
     classification = _classify(result)
 
     write_series(os.path.join(out, "series.csv"), result.records)
@@ -187,10 +186,9 @@ def cmd_check(args) -> int:
     try:
         cfg = _apply_cli_overrides(load_config(args.config), args)
         ic = build_initial_data(cfg)
-        ic.validate(cfg.grid, cfg.params.tau)
+        rep = check_boundedness(cfg.grid, cfg.params, ic)
     except (ConfigError, InitialDataError, ValueError, OSError) as exc:
         return _fail(str(exc))
-    rep = check_boundedness(cfg.grid, cfg.params, ic)
     _print_threshold(rep)
     out = ensure_dir(cfg.out_dir)
     write_report(os.path.join(out, "report.json"),
@@ -272,7 +270,6 @@ def _sweep_point(arg) -> dict:
     try:
         cfg = build_run_config(sections, origin=origin)
         ic = build_initial_data(cfg)
-        ic.validate(cfg.grid, cfg.params.tau)
         result = run(cfg.grid, cfg.params, ic, cfg.t_end,
                      num=cfg.numerics, observe_interval=cfg.observe_every)
         rep = check_boundedness(cfg.grid, cfg.params, ic)

@@ -25,7 +25,6 @@ from .solver import (
     ModelParams,
     Numerics,
     compatibility_constant,
-    solve_elliptic_v,
 )
 
 
@@ -359,7 +358,9 @@ def load_config(path: str) -> RunConfig:
 
 
 def build_initial_data(cfg: RunConfig) -> InitialData:
-    """Materialize the configured IC preset on the configured grid."""
+    """Materialize the configured IC preset on the configured grid.  v0
+    stays None unless ic.v0_path or (tau > 0) ic.v_value sets it; a run
+    then starts at the elliptic equilibrium of u0, which check never solves."""
     grid, spec, tau = cfg.grid, cfg.ic_spec, cfg.params.tau
     X, Y = grid.mesh()
     v0 = None
@@ -405,12 +406,8 @@ def build_initial_data(cfg: RunConfig) -> InitialData:
             raise ConfigError(f"{cfg.origin}: cannot rescale zero-mass u0")
         u0 = u0 * (spec.mass / total)
 
-    if tau > 0.0 and v0 is None:
-        if spec.v_value is not None:
-            v0 = np.full(grid.shape, spec.v_value)
-        else:
-            # quasi-equilibrium start: the elliptic signal level for u0
-            v0 = solve_elliptic_v(grid, u0, tol=cfg.numerics.elliptic_tol)
+    if tau > 0.0 and v0 is None and spec.v_value is not None:
+        v0 = np.full(grid.shape, spec.v_value)
 
     A = compatibility_constant(grid, w0)
     return InitialData(u0=u0, w0=w0, v0=v0, A=A)

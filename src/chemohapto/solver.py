@@ -83,8 +83,8 @@ class InitialData:
     """Initial fields plus the matrix gradient-compatibility constant A.
 
     The constant certifies |grad w0|^2 <= A * w0 at faces, which is what
-    the pointwise matrix curvature bound consumes.  v0 may be None when
-    tau = 0; the elliptic limit ignores it.
+    the pointwise matrix curvature bound consumes.  v0 None means start at
+    the elliptic equilibrium of u0; tau = 0 always does, and ignores v0.
     """
 
     u0: np.ndarray
@@ -108,9 +108,7 @@ class InitialData:
             raise InitialDataError("u0 must not be identically zero")
         if np.min(self.w0) < 0:
             raise InitialDataError(f"w0 must be nonnegative, min is {np.min(self.w0)}")
-        if tau > 0:
-            if self.v0 is None:
-                raise InitialDataError("v0 is required when tau > 0")
+        if tau > 0 and self.v0 is not None:
             grid.check_shape(self.v0)
             if not np.all(np.isfinite(self.v0)):
                 raise InitialDataError("v0 contains non-finite values")
@@ -360,10 +358,12 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
 
 def initial_state(grid: Grid, params: ModelParams, ic: InitialData,
                   num: Numerics = Numerics()) -> State:
-    """Validated state at t = 0; solves the elliptic chemical when tau = 0."""
+    """Validated state at t = 0.  The chemical is a copy of ic.v0, or the
+    elliptic solve (I - Lap) v = u0 when tau = 0 or v0 is None; a solved v
+    is output, not input, so rounding may leave it slightly below zero."""
     ic.validate(grid, params.tau)
-    if params.tau == 0.0:
-        v = _cg_helmholtz(grid, ic.u0, 1.0, 1.0, num.elliptic_tol)
+    if params.tau == 0.0 or ic.v0 is None:
+        v = solve_elliptic_v(grid, ic.u0, num.elliptic_tol)
     else:
         v = ic.v0.copy()
     return State(t=0.0, u=ic.u0.copy(), v=v, w=ic.w0.copy())
@@ -395,8 +395,8 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
     if observe_interval <= 0:
         raise ValueError(f"observe_interval must be positive, got {observe_interval}")
 
-    consts = DerivedConstants.from_ic(grid, ic)
     state = initial_state(grid, params, ic, num)
+    consts = DerivedConstants.from_ic(grid, ic)
     result = RunResult()
     result.records.append(
         diagnostics.make_record(grid, params, state, consts, num, residual=0.0, dt=0.0)

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from chemohapto import ConfigError, Grid, cli, load_config, solve_elliptic_v, verify
+from chemohapto import (ConfigError, Grid, cli, initial_state, load_config,
+                        solve_elliptic_v, verify)
 from chemohapto.cli import main as cli_main
 from chemohapto.config import build_initial_data, build_run_config
 from chemohapto.io import read_field, read_series, write_field
@@ -196,8 +197,10 @@ def test_parabolic_start_uses_elliptic_signal(tmp_path):
     body = BASE.format(out=tmp_path).replace("tau = 0.0", "tau = 1.0")
     cfg = load_config(write_ini(tmp_path, body))
     ic = build_initial_data(cfg)
-    expect = solve_elliptic_v(cfg.grid, ic.u0)
-    np.testing.assert_allclose(ic.v0, expect, atol=1e-12)
+    assert ic.v0 is None          # the equilibrium is solved when a run starts
+    st = initial_state(cfg.grid, cfg.params, ic, cfg.numerics)
+    expect = solve_elliptic_v(cfg.grid, ic.u0, cfg.numerics.elliptic_tol)
+    assert np.array_equal(st.v, expect)
 
 
 # ---------------------------------------------------------------- commands
@@ -441,6 +444,27 @@ def test_report_clipped_mass_counts_unobserved_steps(tmp_path):
     assert np.all(series["clipped_mass"] == 0.0)
     rep = json.load(open(out / "report.json"))
     assert rep["run"]["clipped_mass"] == pytest.approx(35.0, rel=1e-12)
+
+
+def test_wide_domain_parabolic_start_is_accepted(tmp_path):
+    # on a 60 x 60 domain u0 underflows to 0 far from the bump, and the
+    # elliptic start signal rounds slightly below 0 there; that is the
+    # program's own output, not bad input, so check and run must accept it
+    body = BASE.format(out=tmp_path / "wide").replace(
+        "tau = 0.0", "tau = 1.0"
+    ).replace(
+        "kinetics = zero", "kinetics = logistic\n\n[kinetics]\nmu = 1.0"
+    ).replace(
+        "nx = 16\nny = 16", "nx = 64\nny = 64\nlx = 60.0\nly = 60.0"
+    ).replace(
+        "preset = homogeneous\nu_value = 1.0",
+        "preset = gaussian-bump\ncenters = 30:30\nwidth = 1.0\nmass = 2.0",
+    ).replace("t_end = 0.1", "t_end = 0.02") + "fields = 1\n"
+    cfg = write_ini(tmp_path, body)
+    assert cli_main(["check", cfg, "--out", str(tmp_path / "chk")]) == 0
+    assert cli_main(["run", cfg]) == 0
+    u = read_field(str(tmp_path / "wide" / "u_final.field"))
+    assert np.min(u) >= 0.0
 
 
 def test_run_report_survives_non_finite_final_state(tmp_path, monkeypatch):

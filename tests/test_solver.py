@@ -54,10 +54,13 @@ def test_initial_data_validation():
         InitialData(u0=-ones, w0=ones, A=0.0).validate(g, 0.0)
     with pytest.raises(InitialDataError):
         InitialData(u0=np.zeros(g.shape), w0=ones, A=0.0).validate(g, 0.0)
-    with pytest.raises(InitialDataError):      # v0 required when tau > 0
-        InitialData(u0=ones, w0=ones, A=0.0).validate(g, 1.0)
+    # tau > 0 without v0 starts at the elliptic equilibrium, so no v0 is fine
+    InitialData(u0=ones, w0=ones, A=0.0).validate(g, 1.0)
     with pytest.raises(InitialDataError):      # shape mismatch
         InitialData(u0=np.ones((16, 8)), w0=ones, A=0.0).validate(g, 0.0)
+    with pytest.raises(InitialDataError):      # run validates first
+        run(g, ModelParams(chi=0.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics()),
+            InitialData(u0=ones, w0=np.ones((16, 8)), A=0.0), t_end=0.1)
     InitialData(u0=ones, w0=0.0 * ones, A=0.0).validate(g, 0.0)
 
 
@@ -418,3 +421,6 @@ def test_initial_state_signal_source():
     p1 = ModelParams(chi=0.0, xi=0.0, tau=2.0, kinetics=ZeroKinetics())
     st1 = initial_state(g, p1, ic1, num)
     assert np.array_equal(st1.v, v0)
+    # tau > 0 without v0 starts at the elliptic equilibrium of u0
+    st2 = initial_state(g, p1, ic, num)
+    assert np.array_equal(st2.v, solve_elliptic_v(g, ic.u0, num.elliptic_tol))
