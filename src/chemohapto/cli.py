@@ -90,8 +90,11 @@ def _apply_cli_overrides(cfg: RunConfig, args) -> RunConfig:
         if threads < 1:
             raise ConfigError(f"--threads must be an integer >= 1, got {threads}")
         cfg.threads = threads
-    if getattr(args, "seed", None) is not None:
-        cfg.ic_spec.seed = args.seed
+    seed = getattr(args, "seed", None)
+    if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"--seed must be an integer >= 0, got {seed}")
+        cfg.ic_spec.seed = seed
     return cfg
 
 
@@ -239,7 +242,13 @@ def _parse_axis(text: str) -> tuple:
     bits = rhs.split(":")
     if len(bits) not in (3, 4) or (len(bits) == 4 and bits[3] != "log"):
         raise ConfigError(f"bad --axis {text!r}: expected start:stop:steps[:log]")
-    start, stop, steps = float(bits[0]), float(bits[1]), int(bits[2])
+    try:
+        start, stop, steps = float(bits[0]), float(bits[1]), int(bits[2])
+    except ValueError:
+        raise ConfigError(f"bad --axis {text!r}: start and stop must be numbers, "
+                          f"steps an integer") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"bad --axis {text!r}: start and stop must be finite")
     if steps < 1:
         raise ConfigError(f"bad --axis {text!r}: steps must be >= 1")
     if steps == 1:

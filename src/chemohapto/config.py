@@ -20,12 +20,7 @@ import numpy as np
 
 from .grid import Grid
 from .kinetics import _KINETICS_TYPES, make_kinetics
-from .solver import (
-    InitialData,
-    ModelParams,
-    Numerics,
-    compatibility_constant,
-)
+from .solver import InitialData, ModelParams, Numerics
 
 
 class ConfigError(ValueError):
@@ -409,5 +404,4 @@ def build_initial_data(cfg: RunConfig) -> InitialData:
     if tau > 0.0 and v0 is None and spec.v_value is not None:
         v0 = np.full(grid.shape, spec.v_value)
 
-    A = compatibility_constant(grid, w0)
-    return InitialData(u0=u0, w0=w0, v0=v0, A=A)
+    return InitialData(u0=u0, w0=w0, v0=v0)

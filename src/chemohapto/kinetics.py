@@ -114,10 +114,9 @@ class Kinetics:
     The constructor requires finite coefficients with r, lam, c, gamma >= 0.
     Since df/dw = -r*s, f is then nonincreasing in w on s >= 0, which lets
     mass_cap and damping_rate_estimate evaluate the source at w = 0 only.
-    It also records a linear envelope f(s, w) <= cap_a - cap_b*s on s > 0,
-    w >= 0 for the mass cap: cap_b = c and cap_a the numerical sup of
-    f(s, 0) + c*s when c > 0; else cap_b = r and the closed form
-    cap_a = r*(a + 1)^2 / (4*lam); None for the zero source.
+    It also records cap_b, the top of the damping rates eta that mass_cap
+    scans (f + eta*s is bounded above for every eta in (0, cap_b]): c when
+    c > 0, else r; None for the zero source.  The constructor evaluates nothing.
     """
 
     name = "family"
@@ -139,14 +138,11 @@ class Kinetics:
         self.depths = tuple(sorted({int(i) for i in depths}))
         self._shifts = [e_tower(i - 1) for i in self.depths]
         if self.is_zero:
-            self.cap_a = self.cap_b = None
+            self.cap_b = None
         elif self.c > 0:
             self.cap_b = self.c
-            self.cap_a = _sup_f_plus_eta(self, self.c)
         elif self.lam > 0:
-            # sup_s of f(s, 0) + r*s = r*s*(a + 1 - lam*s) is at most this
             self.cap_b = self.r
-            self.cap_a = self.r * (self.a + 1.0) ** 2 / (4.0 * self.lam)
         else:
             raise ValueError("a growing source needs damping: c > 0 or lam > 0")
 
@@ -354,7 +350,7 @@ def make_kinetics(kind: str, **params) -> Kinetics:
 # linear envelope and mass cap
 
 
-def _sup_f_plus_eta(spec: Kinetics, eta: float, brackets: dict | None = None) -> float:
+def _sup_f_plus_eta(spec: Kinetics, eta: float, brackets: dict) -> float:
     """sup over s > 0, w >= 0 of f(s, w) + eta*s.
 
     Finite whenever eta <= cap_b.  By the Kinetics contract the sup over w
@@ -362,12 +358,10 @@ def _sup_f_plus_eta(spec: Kinetics, eta: float, brackets: dict | None = None) ->
     the maximum is interior and the tail decays, then a bounded Brent
     refinement (_bounded_min) around the best grid point.
 
-    brackets maps each bracket level s_hi to its grid and f(grid, 0); a
-    caller that evaluates many eta (mass_cap) passes one dict so that f runs
-    once per level, the envelope being f(grid, 0) + eta*grid either way.
+    brackets maps each bracket level s_hi to its grid and f(grid, 0), and
+    is filled in as levels are first reached; mass_cap passes one dict for
+    all its eta so that f runs once per level.
     """
-    if brackets is None:
-        brackets = {}
     s_hi = 1e8
     for _ in range(12):
         if s_hi not in brackets:
@@ -388,7 +382,7 @@ def _sup_f_plus_eta(spec: Kinetics, eta: float, brackets: dict | None = None) ->
     _, fun, _ = _bounded_min(lambda t: -(spec._f0(math.exp(t)) + eta * math.exp(t)),
                              math.log(lo), math.log(hi), xatol=1e-13)
     peak = max(float(vals[j]), -fun)
-    # tiny inflation so the recorded envelope is a certified upper bound
+    # tiny inflation so the returned sup is a certified upper bound
     return peak + 1e-9 * (1.0 + abs(peak))
 
 

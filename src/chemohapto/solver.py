@@ -80,17 +80,15 @@ class Numerics:
 
 @dataclass
 class InitialData:
-    """Initial fields plus the matrix gradient-compatibility constant A.
-
-    The constant certifies |grad w0|^2 <= A * w0 at faces, which is what
-    the pointwise matrix curvature bound consumes.  v0 None means start at
-    the elliptic equilibrium of u0; tau = 0 always does, and ignores v0.
+    """Initial fields; w0 must admit a finite A with |grad w0|^2 <= A * w0 at
+    faces (compatibility_constant), as the matrix curvature bound needs.
+    v0 None means start at the elliptic equilibrium of u0; tau = 0 always
+    does, and ignores v0.
     """
 
     u0: np.ndarray
     w0: np.ndarray
     v0: Optional[np.ndarray] = None
-    A: float = 0.0
 
     def validate(self, grid: Grid, tau: float) -> None:
         try:
@@ -114,20 +112,10 @@ class InitialData:
                 raise InitialDataError("v0 contains non-finite values")
             if np.min(self.v0) < 0:
                 raise InitialDataError(f"v0 must be nonnegative, min is {np.min(self.v0)}")
-        if not (self.A >= 0 and math.isfinite(self.A)):
-            raise InitialDataError(f"A must be finite and >= 0, got {self.A}")
-        dx, dy = grid.face_diff(self.w0)
-        wx = 0.5 * (self.w0[:-1, :] + self.w0[1:, :])
-        wy = 0.5 * (self.w0[:, :-1] + self.w0[:, 1:])
-        worst = 0.0
-        if dx.size:
-            worst = max(worst, float(np.max(dx ** 2 - self.A * wx)))
-        if dy.size:
-            worst = max(worst, float(np.max(dy ** 2 - self.A * wy)))
-        if worst > 1e-9:                        # rounding slack
-            raise InitialDataError(
-                f"|grad w0|^2 <= A*w0 fails at some face by {worst:.3e} (A={self.A})"
-            )
+        try:
+            compatibility_constant(grid, self.w0)
+        except ValueError as exc:
+            raise InitialDataError(str(exc)) from None
 
 
 def compatibility_constant(grid: Grid, w0: np.ndarray) -> float:
@@ -163,7 +151,7 @@ class DerivedConstants:
     def from_ic(cls, grid: Grid, ic: InitialData) -> "DerivedConstants":
         kappa = (
             grid.norm(grid.laplacian_neumann(ic.w0), math.inf)
-            + 4.0 * ic.A
+            + 4.0 * compatibility_constant(grid, ic.w0)
             + grid.norm(ic.w0, math.inf) / math.e
         )
         return cls(kappa=kappa, w0_max=float(np.max(ic.w0)))

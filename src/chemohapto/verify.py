@@ -30,7 +30,6 @@ from .solver import (
     InitialData,
     ModelParams,
     Numerics,
-    compatibility_constant,
     initial_state,
     solve_elliptic_v,
     step,
@@ -125,7 +124,7 @@ def identity() -> list:
             w0 = 0.3 + 0.1 * np.cos(np.pi * X) * np.cos(np.pi * Y)
             params = ModelParams(chi=0.5, xi=0.25, tau=0.0,
                                  kinetics=LogisticKinetics(1.0))
-            ic = InitialData(u0=u0, w0=w0, A=compatibility_constant(g, w0))
+            ic = InitialData(u0=u0, w0=w0)
             num = Numerics(dt_max=20.0 * g.hx ** 2)
             st = initial_state(g, params, ic, num)
             dt = num.dt_max

@@ -27,7 +27,6 @@ from chemohapto import (
     ZeroKinetics,
     check_boundedness,
     classify_run,
-    compatibility_constant,
     initial_state,
     mass_cap,
     run,
@@ -50,7 +49,7 @@ def _bump_ic(g: Grid, mass: float, sigma: float, w_level: float) -> InitialData:
     u0 = np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / (2.0 * sigma ** 2))
     u0 *= mass / g.integrate(u0)
     w0 = np.full(g.shape, w_level)
-    return InitialData(u0=u0, w0=w0, A=compatibility_constant(g, w0))
+    return InitialData(u0=u0, w0=w0)
 
 
 def _suite_verdict(n: int, suite, limit: float = math.inf) -> None:
@@ -81,7 +80,7 @@ def test_criterion_02_diffusion_decay_anchor():
     g = Grid(128, 128)
     X, _ = g.mesh()
     ic = InitialData(u0=1.0 + 0.5 * np.cos(np.pi * X),
-                     w0=np.zeros(g.shape), A=0.0)
+                     w0=np.zeros(g.shape))
     params = ModelParams(chi=0.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics())
     dt = 1e-4
     res = run(g, params, ic, t_end=0.05, num=Numerics(dt_max=dt),
@@ -146,7 +145,7 @@ def test_criterion_04_structural_bounds():
         ic = _bump_ic(g, mass=2.0, sigma=0.12, w_level=0.4)
         if tau > 0:
             ic = InitialData(u0=ic.u0, w0=ic.w0,
-                             v0=solve_elliptic_v(g, ic.u0), A=ic.A)
+                             v0=solve_elliptic_v(g, ic.u0))
         params = ModelParams(chi=0.5, xi=0.25, tau=tau,
                              kinetics=LogisticKinetics(1.0))
         num = Numerics(dt_max=2e-3)
@@ -173,7 +172,7 @@ def test_criterion_04_structural_bounds():
         w0 = 0.3 + 0.1 * np.cos(np.pi * X) * np.cos(np.pi * Y)
         params = ModelParams(chi=0.5, xi=0.25, tau=0.0,
                              kinetics=LogisticKinetics(1.0))
-        ic = InitialData(u0=u0, w0=w0, A=compatibility_constant(g, w0))
+        ic = InitialData(u0=u0, w0=w0)
         res = run(g, params, ic, t_end=0.2, num=Numerics(dt_max=20.0 * g.hx ** 2))
         viols.append(max(r.delta_w_violation_max for r in res.records))
     pos = [max(v, 0.0) for v in viols]

@@ -505,13 +505,13 @@ def _on_glibc():
 def test_keep_freed_buffers_stops_step_page_faults():
     resource = pytest.importorskip("resource")
     from chemohapto import (InitialData, LogisticKinetics, ModelParams, Numerics,
-                            compatibility_constant, initial_state, step)
+                            initial_state, step)
     cli._keep_freed_buffers()
     g = Grid(256, 256)
     X, Y = g.mesh()
     u0 = 1.0 + np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.02)
     w0 = np.full(g.shape, 0.5)
-    ic = InitialData(u0=u0, w0=w0, v0=u0.copy(), A=compatibility_constant(g, w0))
+    ic = InitialData(u0=u0, w0=w0, v0=u0.copy())
     params = ModelParams(chi=1.0, xi=0.5, tau=1.0, kinetics=LogisticKinetics(1.0))
     num = Numerics()
     st = initial_state(g, params, ic, num)
@@ -593,4 +593,26 @@ def test_threads_below_one_is_rejected(tmp_path, monkeypatch, capsys, command, t
         argv += ["--axis", "chi=0.5:1:2"]
     assert cli_main(argv) == 2
     assert f"--threads must be an integer >= 1, got {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check", "sweep"])
+def test_negative_seed_is_rejected(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(cli, "Pool", None)      # no worker may be started
+    cfg = os.path.join(CONFIGS, "logistic-tau1.ini")
+    argv = [command, cfg, "--seed", "-1", "--out", str(tmp_path / "o")]
+    if command == "sweep":
+        argv += ["--axis", "chi=0.5:1:2"]
+    assert cli_main(argv) == 2
+    assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("axis", ["chi=0:1:abc", "chi=x:1:3", "chi=0:1:2.5",
+                                  "chi=nan:1:2", "chi=0:inf:2", "k=1:inf:3:log"])
+def test_malformed_axis_numbers_are_rejected(tmp_path, monkeypatch, capsys, axis):
+    monkeypatch.setattr(cli, "Pool", None)
+    cfg = os.path.join(CONFIGS, "homogeneous-minimal.ini")
+    assert cli_main(["sweep", cfg, "--axis", axis, "--out", str(tmp_path / "o")]) == 2
+    assert f"error: bad --axis {axis!r}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

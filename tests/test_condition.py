@@ -22,7 +22,6 @@ from chemohapto import (
     ZeroKinetics,
     check_boundedness,
     classify_run,
-    compatibility_constant,
     run,
 )
 from chemohapto.diagnostics import DiagnosticsRecord
@@ -34,7 +33,7 @@ def bump_ic(g, mass=4.0, sigma=0.1, w_level=0.5, v0=None):
     u0 = np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / (2 * sigma ** 2))
     u0 *= mass / g.integrate(u0)
     w0 = np.full(g.shape, w_level)
-    return InitialData(u0=u0, w0=w0, v0=v0, A=compatibility_constant(g, w0))
+    return InitialData(u0=u0, w0=w0, v0=v0)
 
 
 def test_tau0_logistic_takes_damping_case():

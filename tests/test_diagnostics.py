@@ -12,7 +12,6 @@ from chemohapto import (
     ModelParams,
     Numerics,
     ZeroKinetics,
-    compatibility_constant,
     entropy,
     e_tower,
     g_functional,
@@ -77,7 +76,7 @@ def test_identity_residual_stationary_state():
     # homogeneous u with zero kinetics: every term in the balance is zero
     g = Grid(24, 24)
     params = ModelParams(chi=1.0, xi=0.5, tau=0.0, kinetics=ZeroKinetics())
-    ic = InitialData(u0=np.full(g.shape, 2.0), w0=np.zeros(g.shape), A=0.0)
+    ic = InitialData(u0=np.full(g.shape, 2.0), w0=np.zeros(g.shape))
     st0, st1 = _one_step(g, params, ic, 1e-2)
     for m in (None, 1, 2):
         r = identity_residual(g, params.chi, params.xi, params.kinetics,
@@ -93,7 +92,7 @@ def test_identity_residual_small_on_smooth_run():
     w0 = 0.3 + 0.1 * np.cos(np.pi * X) * np.cos(np.pi * Y)
     params = ModelParams(chi=0.5, xi=0.25, tau=0.0,
                          kinetics=LogisticKinetics(1.0))
-    ic = InitialData(u0=u0, w0=w0, A=compatibility_constant(g, w0))
+    ic = InitialData(u0=u0, w0=w0)
     dt = 20.0 * g.hx ** 2
     st0, st1 = _one_step(g, params, ic, dt)
     # the first step carries the largest splitting transient of the run
@@ -113,7 +112,7 @@ def test_identity_residual_halves_under_refinement():
         w0 = 0.3 + 0.1 * np.cos(np.pi * X) * np.cos(np.pi * Y)
         params = ModelParams(chi=0.5, xi=0.25, tau=0.0,
                              kinetics=LogisticKinetics(1.0))
-        ic = InitialData(u0=u0, w0=w0, A=compatibility_constant(g, w0))
+        ic = InitialData(u0=u0, w0=w0)
         num = Numerics(dt_max=20.0 * g.hx ** 2)
         st = initial_state(g, params, ic, num)
         last = math.inf

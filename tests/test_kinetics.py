@@ -102,7 +102,7 @@ def test_zero_kinetics():
 
 def test_logistic_values_and_caps():
     kin = LogisticKinetics(2.5)
-    assert kin.cap_a == 2.5 and kin.cap_b == 2.5
+    assert kin.cap_b == 2.5
     assert not kin.is_zero
     # mu s (1 - s - w): root at s = 1 - w
     assert kin.f(1.0, 0.0) == 0.0
@@ -152,15 +152,17 @@ def test_source_vanishes_at_zero_density():
 
 
 def test_envelope_bound_all_variants():
-    # f(s, w) <= cap_a - cap_b s, sampled over a wide random cloud
+    # f(s, w) <= sup - cap_b s with sup = sup_s (f(s, 0) + cap_b s), sampled
+    # over a wide random cloud
     rng = np.random.default_rng(11)
     s = np.concatenate([rng.random(300) * 5, np.geomspace(1e-6, 1e8, 300)])
     w = rng.random(600) * 2.0
     for kin in (LogisticKinetics(1.0), PowerSubLogistic(1, 1, 0.5),
                 LogLogSubLogistic(1, 1), IteratedLogKinetics(1, 1.0),
                 IteratedLogKinetics(3, 0.5)):
-        gap = kin.f(s, w) - (kin.cap_a - kin.cap_b * s)
-        assert np.max(gap) <= 1e-9 * np.maximum(1.0, np.abs(kin.cap_a))
+        sup = kinetics._sup_f_plus_eta(kin, kin.cap_b, {})
+        gap = kin.f(s, w) - (sup - kin.cap_b * s)
+        assert np.max(gap) <= 1e-9 * np.maximum(1.0, np.abs(sup))
 
 
 def test_factory():
@@ -393,12 +395,12 @@ REFERENCE = {
                                        range(1, kin.k + 1))),
 }
 
-# (source, cap_a, cap_b, mass_cap(source, 4, 1), mu_1..mu_3), recorded
-# from the closed forms above
+# (source, sup_s (f(s, 0) + cap_b s), cap_b, mass_cap(source, 4, 1),
+# mu_1..mu_3), recorded from the closed forms above
 PINNED = (
     (ZeroKinetics(), None, None, 4.0, (0.0, 0.0, 0.0)),
-    (LogisticKinetics(1.0), 1.0, 1.0, 5.000000002, (math.inf,) * 3),
-    (LogisticKinetics(2.5), 2.5, 2.5, 5.0000000014, (math.inf,) * 3),
+    (LogisticKinetics(1.0), 1.000000002, 1.0, 5.000000002, (math.inf,) * 3),
+    (LogisticKinetics(2.5), 2.5000000035, 2.5, 5.0000000014, (math.inf,) * 3),
     (PowerSubLogistic(1.0, 1.0, 0.5), 0.7992320518239915, 1.0, 4.746881744676749,
      (math.inf,) * 3),
     (PowerSubLogistic(0.5, 2.0, 0.3), 0.6002000873027423, 2.0, 4.134296305791584,
@@ -471,9 +473,21 @@ def test_float_evaluator_matches_a_bracket_grid_bitwise():
         assert _same_bits(out, kin.f(s_grid, 0.0)), kin
 
 
+def test_constructing_a_source_evaluates_nothing(monkeypatch):
+    calls = []
+    real_f = Kinetics.f
+    monkeypatch.setattr(Kinetics, "f",
+                        lambda self, s, w: calls.append(self) or real_f(self, s, w))
+    for kin, *_ in PINNED:
+        again = type(kin)(**{p: getattr(kin, p) for p in kin.PARAMS})
+        assert calls == [] and again.cap_b == kin.cap_b
+
+
 def test_threshold_quantities_match_the_closed_forms():
-    for kin, cap_a, cap_b, m1, mu in PINNED:
-        assert (kin.cap_a, kin.cap_b) == (cap_a, cap_b)
+    for kin, sup_b, cap_b, m1, mu in PINNED:
+        assert kin.cap_b == cap_b
+        if not kin.is_zero:
+            assert kinetics._sup_f_plus_eta(kin, cap_b, {}) == sup_b
         assert mass_cap(kin, 4.0, 1.0) == m1
         assert tuple(damping_rate_estimate(kin, r) for r in (1, 2, 3)) == mu
 

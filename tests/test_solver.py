@@ -30,7 +30,7 @@ def bump_ic(g, mass=4.0, sigma=0.1, w_level=0.5):
     u0 = np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / (2 * sigma ** 2))
     u0 *= mass / g.integrate(u0)
     w0 = np.full(g.shape, w_level)
-    return InitialData(u0=u0, w0=w0, A=compatibility_constant(g, w0))
+    return InitialData(u0=u0, w0=w0)
 
 
 # ---------------------------------------------------------------- params
@@ -51,17 +51,17 @@ def test_initial_data_validation():
     g = Grid(16, 16)
     ones = np.ones(g.shape)
     with pytest.raises(InitialDataError):
-        InitialData(u0=-ones, w0=ones, A=0.0).validate(g, 0.0)
+        InitialData(u0=-ones, w0=ones).validate(g, 0.0)
     with pytest.raises(InitialDataError):
-        InitialData(u0=np.zeros(g.shape), w0=ones, A=0.0).validate(g, 0.0)
+        InitialData(u0=np.zeros(g.shape), w0=ones).validate(g, 0.0)
     # tau > 0 without v0 starts at the elliptic equilibrium, so no v0 is fine
-    InitialData(u0=ones, w0=ones, A=0.0).validate(g, 1.0)
+    InitialData(u0=ones, w0=ones).validate(g, 1.0)
     with pytest.raises(InitialDataError):      # shape mismatch
-        InitialData(u0=np.ones((16, 8)), w0=ones, A=0.0).validate(g, 0.0)
+        InitialData(u0=np.ones((16, 8)), w0=ones).validate(g, 0.0)
     with pytest.raises(InitialDataError):      # run validates first
         run(g, ModelParams(chi=0.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics()),
-            InitialData(u0=ones, w0=np.ones((16, 8)), A=0.0), t_end=0.1)
-    InitialData(u0=ones, w0=0.0 * ones, A=0.0).validate(g, 0.0)
+            InitialData(u0=ones, w0=np.ones((16, 8))), t_end=0.1)
+    InitialData(u0=ones, w0=0.0 * ones).validate(g, 0.0)
 
 
 def test_gradient_compatibility_constant():
@@ -69,12 +69,22 @@ def test_gradient_compatibility_constant():
     X, _ = g.mesh()
     w0 = 0.5 + 0.4 * np.cos(np.pi * X)
     A = compatibility_constant(g, w0)
-    ic = InitialData(u0=np.ones(g.shape), w0=w0, A=A)
-    ic.validate(g, 0.0)
-    # understating A by half must trip the face condition
-    bad = InitialData(u0=np.ones(g.shape), w0=w0, A=0.4 * A)
+    InitialData(u0=np.ones(g.shape), w0=w0).validate(g, 0.0)
+    dx, dy = g.face_diff(w0)
+    assert np.all(dx ** 2 <= A * 0.5 * (w0[:-1, :] + w0[1:, :]))
+    assert np.all(dy ** 2 <= A * 0.5 * (w0[:, :-1] + w0[:, 1:]))
+
+
+def test_gradient_where_w0_vanishes_is_rejected():
+    # the squared face differences (6.4e-13) are tiny in absolute terms,
+    # but no finite A bounds a gradient at a face where w0 is 0
+    g = Grid(4, 4, 1e-7, 1e-7)
+    w0 = np.zeros(g.shape)
+    w0[0, :] = 2e-14
+    with pytest.raises(ValueError):
+        compatibility_constant(g, w0)
     with pytest.raises(InitialDataError):
-        bad.validate(g, 0.0)
+        InitialData(u0=np.ones(g.shape), w0=w0).validate(g, 0.0)
 
 
 # ---------------------------------------------------------------- elliptic
@@ -161,7 +171,7 @@ def test_carried_face_speed_gives_the_dt_cfl_bound(monkeypatch):
     g = Grid(32, 32)
     params = ModelParams(chi=1.5, xi=0.75, tau=1.0, kinetics=LogisticKinetics(1.0))
     ic = bump_ic(g, mass=4.0, sigma=0.08)
-    ic = InitialData(u0=ic.u0, w0=0.5 + 0.1 * ic.u0 / ic.u0.max(), v0=0.5 * ic.u0, A=50.0)
+    ic = InitialData(u0=ic.u0, w0=0.5 + 0.1 * ic.u0 / ic.u0.max(), v0=0.5 * ic.u0)
     num = Numerics(dt_max=1.0)
     st = initial_state(g, params, ic, num)
     assert st.face_speed is None
@@ -235,7 +245,7 @@ def test_step_matches_reference_step_bitwise(seed, n, chi, xi, tau, mu, dt):
 def test_homogeneous_state_is_stationary():
     g = Grid(16, 16)
     params = ModelParams(chi=1.0, xi=0.5, tau=0.0, kinetics=ZeroKinetics())
-    ic = InitialData(u0=np.full(g.shape, 2.0), w0=np.zeros(g.shape), A=0.0)
+    ic = InitialData(u0=np.full(g.shape, 2.0), w0=np.zeros(g.shape))
     num = Numerics()
     st = initial_state(g, params, ic, num)
     for _ in range(5):
@@ -247,7 +257,7 @@ def test_homogeneous_state_is_stationary():
 def test_w_exact_exponential_for_constant_fields():
     g = Grid(16, 16)
     params = ModelParams(chi=0.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics())
-    ic = InitialData(u0=np.full(g.shape, 3.0), w0=np.full(g.shape, 0.8), A=0.0)
+    ic = InitialData(u0=np.full(g.shape, 3.0), w0=np.full(g.shape, 0.8))
     num = Numerics()
     st = initial_state(g, params, ic, num)
     st = step(g, st, params, 0.01, num)
@@ -330,7 +340,7 @@ def test_tau_positive_signal_lags():
     g = Grid(24, 24)
     params = ModelParams(chi=0.0, xi=0.0, tau=1.0, kinetics=ZeroKinetics())
     ic = bump_ic(g, mass=2.0, sigma=0.15, w_level=0.0)
-    ic = InitialData(u0=ic.u0, w0=ic.w0, v0=np.zeros(g.shape), A=ic.A)
+    ic = InitialData(u0=ic.u0, w0=ic.w0, v0=np.zeros(g.shape))
     num = Numerics(dt_max=1e-3)
     st = initial_state(g, params, ic, num)
     v_eq = solve_elliptic_v(g, st.u)
@@ -359,7 +369,7 @@ def test_run_records_cadence_and_final():
 def test_run_default_observer_grid():
     g = Grid(16, 16)
     params = ModelParams(chi=0.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics())
-    ic = InitialData(u0=np.ones(g.shape), w0=np.zeros(g.shape), A=0.0)
+    ic = InitialData(u0=np.ones(g.shape), w0=np.zeros(g.shape))
     res = run(g, params, ic, t_end=1.0, num=Numerics(dt_max=1e-2))
     # default cadence t_end / 128 lands near 129 records
     assert 100 <= len(res.records) <= 135
@@ -370,7 +380,7 @@ def test_run_divergence_flag():
     X, Y = g.mesh()
     u0 = np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / (2 * 0.08 ** 2))
     u0 *= 60.0 / g.integrate(u0)
-    ic = InitialData(u0=u0, w0=np.zeros(g.shape), A=0.0)
+    ic = InitialData(u0=u0, w0=np.zeros(g.shape))
     params = ModelParams(chi=1.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics())
     num = Numerics(dt_max=2e-3, overflow_guard=1e4)
     res = run(g, params, ic, t_end=1.0, num=num)
@@ -385,7 +395,7 @@ def test_run_clipped_mass_is_cumulative():
     g = Grid(16, 16)
     params = ModelParams(chi=0.0, xi=0.0, tau=0.0,
                          kinetics=LogisticKinetics(100.0))
-    ic = InitialData(u0=np.full(g.shape, 10.0), w0=np.zeros(g.shape), A=0.0)
+    ic = InitialData(u0=np.full(g.shape, 10.0), w0=np.zeros(g.shape))
     res = run(g, params, ic, t_end=0.1, num=Numerics(dt_max=5e-3),
               observe_interval=0.1)
     assert len(res.records) == 2 and res.steps == 20
@@ -417,7 +427,7 @@ def test_initial_state_signal_source():
     assert np.max(np.abs(st0.v - solve_elliptic_v(g, ic.u0))) < 1e-12
     # tau > 0 takes the supplied v0 verbatim
     v0 = np.full(g.shape, 0.123)
-    ic1 = InitialData(u0=ic.u0, w0=ic.w0, v0=v0, A=ic.A)
+    ic1 = InitialData(u0=ic.u0, w0=ic.w0, v0=v0)
     p1 = ModelParams(chi=0.0, xi=0.0, tau=2.0, kinetics=ZeroKinetics())
     st1 = initial_state(g, p1, ic1, num)
     assert np.array_equal(st1.v, v0)
