@@ -22,12 +22,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .condition import (
-    CLASS_UNCLASSIFIED,
-    Classification,
-    check_boundedness,
-    classify_run,
-)
+from .condition import check_boundedness, classify_run
 from .config import (
     ConfigError,
     RunConfig,
@@ -42,7 +37,7 @@ from .io import (
     write_report,
     write_series,
 )
-from .solver import InitialDataError, run
+from .solver import run
 
 
 # glibc mallopt parameters (malloc.h) and the values glibc's dynamic rule
@@ -98,9 +93,36 @@ def _apply_cli_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
-def _run_report(cfg: RunConfig, result, threshold, classification) -> dict:
+def _run_config(cfg: RunConfig, out: str) -> tuple:
+    """Build the initial data, check the condition, integrate, classify, and
+    write series.csv, the configured field dumps and heatmaps, and
+    report.json into out (created if missing).
+
+    Returns (result, threshold, classification).  A RuntimeError from the
+    solver leaves a solver_error report in out and is re-raised.
+    """
+    ic = build_initial_data(cfg)
+    threshold = check_boundedness(cfg.grid, cfg.params, ic)
+    report = os.path.join(ensure_dir(out), "report.json")
+    try:
+        result = run(cfg.grid, cfg.params, ic, cfg.t_end,
+                     num=cfg.numerics, observe_interval=cfg.observe_every)
+    except RuntimeError as exc:
+        write_report(report, {"config": cfg.origin,
+                              "run": {"status": "solver_error", "error": str(exc)}})
+        raise
+    classification = classify_run(result)
+
+    write_series(os.path.join(out, "series.csv"), result.records)
+    for name in ("u", "v", "w"):
+        f = getattr(result.final, name)
+        if cfg.write_fields:
+            write_field(os.path.join(out, f"{name}_final.field"), cfg.grid, f)
+        if cfg.write_svg:
+            write_field_svg(os.path.join(out, f"{name}_final.svg"), cfg.grid, f,
+                            title=f"{name}(x, t={result.final.t:.4g})")
     rec = result.records
-    return {
+    write_report(report, {
         "config": cfg.origin,
         "run": {
             "status": result.status,
@@ -108,58 +130,26 @@ def _run_report(cfg: RunConfig, result, threshold, classification) -> dict:
             "t_final": result.final.t,
             "diverged_t": result.diverged_t,
             "records": len(rec),
-            "peak_linf_u": max(r.linf_u for r in rec) if rec else math.nan,
-            "final_mass": rec[-1].mass if rec else math.nan,
+            "peak_linf_u": max(r.linf_u for r in rec),
+            "final_mass": rec[-1].mass,
             "clipped_mass": result.clipped_mass,
         },
         "threshold": threshold.to_dict(),
         "classification": classification.to_dict(),
-    }
-
-
-def _classify(result) -> Classification:
-    """classify_run, or the unclassified label for a history it rejects
-    (a run that ended with too few records); the artifacts are kept."""
-    try:
-        return classify_run(result)
-    except ValueError:
-        return Classification(CLASS_UNCLASSIFIED, math.nan)
+    })
+    return result, threshold, classification
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _apply_cli_overrides(load_config(args.config), args)
-        ic = build_initial_data(cfg)
-        threshold = check_boundedness(cfg.grid, cfg.params, ic)
-    except (ConfigError, InitialDataError, ValueError, OSError) as exc:
-        return _fail(str(exc))
-
-    out = ensure_dir(cfg.out_dir)
     t0 = time.time()
     try:
-        result = run(cfg.grid, cfg.params, ic, cfg.t_end,
-                     num=cfg.numerics, observe_interval=cfg.observe_every)
+        cfg = _apply_cli_overrides(load_config(args.config), args)
+        result, threshold, classification = _run_config(cfg, cfg.out_dir)
     except RuntimeError as exc:
-        write_report(os.path.join(out, "report.json"),
-                     {"config": cfg.origin, "run": {"status": "solver_error",
-                                                    "error": str(exc)}})
         return _fail(f"solver failed: {exc}", code=1)
+    except (ValueError, OSError) as exc:    # ConfigError, InitialDataError too
+        return _fail(str(exc))
     elapsed = time.time() - t0
-
-    classification = _classify(result)
-
-    write_series(os.path.join(out, "series.csv"), result.records)
-    if cfg.write_fields:
-        for name, f in (("u", result.final.u), ("v", result.final.v),
-                        ("w", result.final.w)):
-            write_field(os.path.join(out, f"{name}_final.field"), cfg.grid, f)
-    if cfg.write_svg:
-        for name, f in (("u", result.final.u), ("v", result.final.v),
-                        ("w", result.final.w)):
-            write_field_svg(os.path.join(out, f"{name}_final.svg"), cfg.grid, f,
-                            title=f"{name}(x, t={result.final.t:.4g})")
-    write_report(os.path.join(out, "report.json"),
-                 _run_report(cfg, result, threshold, classification))
 
     last = result.records[-1]
     print(f"run: {result.status}, {result.steps} steps to t={result.final.t:.6g} "
@@ -168,7 +158,7 @@ def cmd_run(args) -> int:
           f"clipped={result.clipped_mass:.3g}")
     print(f"condition: {threshold.case}; classification: {classification.label} "
           f"(plateau {classification.plateau:.4g})")
-    print(f"artifacts in {out}/")
+    print(f"artifacts in {cfg.out_dir}/")
     return 0
 
 
@@ -190,12 +180,12 @@ def cmd_check(args) -> int:
         cfg = _apply_cli_overrides(load_config(args.config), args)
         ic = build_initial_data(cfg)
         rep = check_boundedness(cfg.grid, cfg.params, ic)
-    except (ConfigError, InitialDataError, ValueError, OSError) as exc:
+        out = ensure_dir(cfg.out_dir)
+        write_report(os.path.join(out, "report.json"),
+                     {"config": cfg.origin, "threshold": rep.to_dict()})
+    except (ValueError, OSError) as exc:    # ConfigError, InitialDataError too
         return _fail(str(exc))
     _print_threshold(rep)
-    out = ensure_dir(cfg.out_dir)
-    write_report(os.path.join(out, "report.json"),
-                 {"config": cfg.origin, "threshold": rep.to_dict()})
     print(f"report in {out}/report.json")
     return 0
 
@@ -228,6 +218,7 @@ _AXIS_TARGETS = {
     "k": ("kinetics", "k"),
     "mass": ("ic", "mass"),
 }
+_MAX_POINTS = 10_000    # per axis and per sweep
 
 
 def _parse_axis(text: str) -> tuple:
@@ -249,8 +240,8 @@ def _parse_axis(text: str) -> tuple:
                           f"steps an integer") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"bad --axis {text!r}: start and stop must be finite")
-    if steps < 1:
-        raise ConfigError(f"bad --axis {text!r}: steps must be >= 1")
+    if not 1 <= steps <= _MAX_POINTS:
+        raise ConfigError(f"bad --axis {text!r}: steps must be in [1, {_MAX_POINTS}]")
     if steps == 1:
         values = np.array([start])
     elif len(bits) == 4:
@@ -270,7 +261,7 @@ def _parse_axis(text: str) -> tuple:
 
 
 def _sweep_point(arg) -> dict:
-    """One sweep point: build, run, check, classify; never raises."""
+    """One sweep point: a run without field dumps or heatmaps; never raises."""
     idx, sections, origin, assignment, out_root = arg
     row = {"point": idx, "status": "error", "case": "", "satisfied": "",
            "label": "", "plateau": math.nan, "peak_linf_u": math.nan,
@@ -278,15 +269,9 @@ def _sweep_point(arg) -> dict:
     row.update(assignment)
     try:
         cfg = build_run_config(sections, origin=origin)
-        ic = build_initial_data(cfg)
-        result = run(cfg.grid, cfg.params, ic, cfg.t_end,
-                     num=cfg.numerics, observe_interval=cfg.observe_every)
-        rep = check_boundedness(cfg.grid, cfg.params, ic)
-        cls = _classify(result)
-        pdir = ensure_dir(os.path.join(out_root, f"point_{idx:04d}"))
-        write_series(os.path.join(pdir, "series.csv"), result.records)
-        write_report(os.path.join(pdir, "report.json"),
-                     _run_report(cfg, result, rep, cls))
+        cfg.write_fields = cfg.write_svg = False
+        result, rep, cls = _run_config(
+            cfg, os.path.join(out_root, f"point_{idx:04d}"))
         row.update(status=result.status, case=rep.case,
                    satisfied=str(rep.satisfied), label=cls.label,
                    plateau=cls.plateau,
@@ -301,21 +286,19 @@ def cmd_sweep(args) -> int:
     try:
         cfg = _apply_cli_overrides(load_config(args.config), args)
         axes = [_parse_axis(a) for a in args.axis]
+        if not axes:
+            return _fail("sweep needs at least one --axis")
+        names = [n for n, _ in axes]
+        if len(set(names)) != len(names):
+            return _fail(f"duplicate sweep axes in {names}")
+        grids = [vals for _, vals in axes]
+        total = math.prod(len(vals) for vals in grids)
+        if total > _MAX_POINTS:
+            return _fail(f"sweep has {total} points, limit is {_MAX_POINTS}")
+        out_root = ensure_dir(cfg.out_dir)
     except (ConfigError, OSError) as exc:
         return _fail(str(exc))
-    if not axes:
-        return _fail("sweep needs at least one --axis")
-    names = [n for n, _ in axes]
-    if len(set(names)) != len(names):
-        return _fail(f"duplicate sweep axes in {names}")
-    grids = [vals for _, vals in axes]
-    total = 1
-    for vals in grids:
-        total *= len(vals)
-    if total > 10_000:
-        return _fail(f"sweep has {total} points, limit is 10000")
 
-    out_root = ensure_dir(cfg.out_dir)
     jobs = []
     for idx, combo in enumerate(itertools.product(*grids)):
         sections = {s: dict(kv) for s, kv in cfg.sections.items()}
@@ -337,17 +320,6 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_point(j) for j in jobs]
     rows.sort(key=lambda r: r["point"])
 
-    cols = ["point"] + names + ["status", "case", "satisfied", "label",
-                                "plateau", "peak_linf_u", "final_mass", "error"]
-    with open(os.path.join(out_root, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            cells = []
-            for c in cols:
-                v = row[c]
-                cells.append("%.17g" % v if isinstance(v, float) else str(v))
-            fh.write(",".join(cells) + "\n")
-
     confusion = {}
     for row in rows:
         key = (row["case"] or "error", row["label"] or "error")
@@ -358,8 +330,22 @@ def cmd_sweep(args) -> int:
     for (case, label), n in sorted(confusion.items()):
         lines.append(f"  {case:<22s} {label:<18s} {n}")
     summary = "\n".join(lines)
-    with open(os.path.join(out_root, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write(summary + "\n")
+
+    cols = ["point"] + names + ["status", "case", "satisfied", "label",
+                                "plateau", "peak_linf_u", "final_mass", "error"]
+    try:
+        with open(os.path.join(out_root, "sweep.csv"), "w", encoding="utf-8") as fh:
+            fh.write(",".join(cols) + "\n")
+            for row in rows:
+                cells = []
+                for c in cols:
+                    v = row[c]
+                    cells.append("%.17g" % v if isinstance(v, float) else str(v))
+                fh.write(",".join(cells) + "\n")
+        with open(os.path.join(out_root, "summary.txt"), "w", encoding="utf-8") as fh:
+            fh.write(summary + "\n")
+    except OSError as exc:
+        return _fail(str(exc))
     print(summary)
     print(f"table in {out_root}/sweep.csv")
     failures = [r for r in rows if r["error"]]

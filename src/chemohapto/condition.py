@@ -109,8 +109,7 @@ def check_boundedness(
 CLASS_DIVERGED = "diverged"
 CLASS_GROWING = "growing"
 CLASS_PLATEAU = "bounded_plateau"
-# given by the command line to runs whose history classify_run rejects
-CLASS_UNCLASSIFIED = "unclassified"
+CLASS_UNCLASSIFIED = "unclassified"     # too few records to tell
 
 GROWTH_RATIO = 1.25
 
@@ -118,7 +117,7 @@ GROWTH_RATIO = 1.25
 @dataclass
 class Classification:
     label: str
-    plateau: float      # nan when the run diverged before enough records
+    plateau: float      # nan when the run ended before enough records
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -127,26 +126,23 @@ class Classification:
 def classify_run(result: RunResult) -> Classification:
     """Label a finished run from its recorded sup-norm history.
 
-    Diverged runs keep their flag regardless of record count; otherwise
-    at least 16 records are required and the second-half to first-half
-    ratio of max linf_u decides between growing (> 1.25) and plateau.
+    Diverged runs keep their flag regardless of record count; any other
+    run with fewer than 16 records is unclassified.  Otherwise the
+    second-half to first-half ratio of max linf_u over the finite records
+    decides between growing (> 1.25) and plateau; it is nan without 16
+    records or 2 finite ones.
     """
     records = result.records
+    ratio = math.nan
+    if len(records) >= 16:
+        times = np.array([rec.t for rec in records])
+        vals = np.array([rec.linf_u for rec in records])
+        finite = np.isfinite(vals)
+        if finite.sum() >= 2:
+            ratio = plateau_ratio(times[finite], vals[finite])
     if result.status == "diverged":
-        ratio = math.nan
-        if len(records) >= 16:
-            times = np.array([rec.t for rec in records])
-            vals = np.array([rec.linf_u for rec in records])
-            finite = np.isfinite(vals)
-            if finite.sum() >= 2:
-                ratio = plateau_ratio(times[finite], vals[finite])
         return Classification(CLASS_DIVERGED, ratio)
     if len(records) < 16:
-        raise ValueError(
-            f"classification needs at least 16 records, got {len(records)}"
-        )
-    times = np.array([rec.t for rec in records])
-    vals = np.array([rec.linf_u for rec in records])
-    ratio = plateau_ratio(times, vals)
+        return Classification(CLASS_UNCLASSIFIED, ratio)
     label = CLASS_GROWING if ratio > GROWTH_RATIO else CLASS_PLATEAU
-    return Classification(label, float(ratio))
+    return Classification(label, ratio)

@@ -94,6 +94,8 @@ class InitialData:
         try:
             grid.check_shape(self.u0)
             grid.check_shape(self.w0)
+            if tau > 0 and self.v0 is not None:
+                grid.check_shape(self.v0)
         except ValueError as exc:
             raise InitialDataError(str(exc)) from None
         if not np.all(np.isfinite(self.u0)):
@@ -107,7 +109,6 @@ class InitialData:
         if np.min(self.w0) < 0:
             raise InitialDataError(f"w0 must be nonnegative, min is {np.min(self.w0)}")
         if tau > 0 and self.v0 is not None:
-            grid.check_shape(self.v0)
             if not np.all(np.isfinite(self.v0)):
                 raise InitialDataError("v0 contains non-finite values")
             if np.min(self.v0) < 0:

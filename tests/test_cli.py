@@ -609,10 +609,43 @@ def test_negative_seed_is_rejected(tmp_path, monkeypatch, capsys, command):
 
 
 @pytest.mark.parametrize("axis", ["chi=0:1:abc", "chi=x:1:3", "chi=0:1:2.5",
-                                  "chi=nan:1:2", "chi=0:inf:2", "k=1:inf:3:log"])
+                                  "chi=nan:1:2", "chi=0:inf:2", "k=1:inf:3:log",
+                                  "chi=0:1:10001", "k=1:3:20001"])
 def test_malformed_axis_numbers_are_rejected(tmp_path, monkeypatch, capsys, axis):
     monkeypatch.setattr(cli, "Pool", None)
     cfg = os.path.join(CONFIGS, "homogeneous-minimal.ini")
     assert cli_main(["sweep", cfg, "--axis", axis, "--out", str(tmp_path / "o")]) == 2
     assert f"error: bad --axis {axis!r}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check", "sweep"])
+def test_unusable_out_path_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(cli, "Pool", None)      # no worker may be started
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = [command, os.path.join(CONFIGS, "homogeneous-minimal.ini"),
+            "--out", str(taken)]
+    if command == "sweep":
+        argv += ["--axis", "chi=0.5:1:2"]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "mu_1" not in captured.out           # check prints nothing first
+    assert taken.read_text() == ""
+
+
+def test_sweep_point_solver_error_is_reported(tmp_path, monkeypatch):
+    def failing_run(*args, **kwargs):
+        raise RuntimeError("spectral Helmholtz solve missed the residual target")
+
+    monkeypatch.setattr(cli, "run", failing_run)
+    out = tmp_path / "sw"
+    assert cli_main(["sweep", os.path.join(CONFIGS, "homogeneous-minimal.ini"),
+                     "--axis", "chi=1:1:1", "--threads", "1",
+                     "--out", str(out)]) == 0
+    rep = json.load(open(out / "point_0000" / "report.json"))
+    assert rep["run"]["status"] == "solver_error"
+    header, row = (out / "sweep.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["error"].startswith("RuntimeError:")

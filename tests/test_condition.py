@@ -12,6 +12,7 @@ from chemohapto import (
     CLASS_DIVERGED,
     CLASS_GROWING,
     CLASS_PLATEAU,
+    CLASS_UNCLASSIFIED,
     Grid,
     InitialData,
     IteratedLogKinetics,
@@ -163,8 +164,8 @@ def test_classify_diverged_keeps_flag():
 
 def test_classify_needs_enough_records():
     t = np.linspace(0.0, 1.0, 8)
-    with pytest.raises(ValueError):
-        classify_run(_fake_result(t, np.ones(8)))
+    cls = classify_run(_fake_result(t, np.ones(8)))
+    assert cls.label == CLASS_UNCLASSIFIED and np.isnan(cls.plateau)
 
 
 def test_classify_real_bounded_run():

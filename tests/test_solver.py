@@ -58,6 +58,8 @@ def test_initial_data_validation():
     InitialData(u0=ones, w0=ones).validate(g, 1.0)
     with pytest.raises(InitialDataError):      # shape mismatch
         InitialData(u0=np.ones((16, 8)), w0=ones).validate(g, 0.0)
+    with pytest.raises(InitialDataError):      # v0 is checked like u0 and w0
+        InitialData(u0=ones, w0=ones, v0=np.ones((16, 8))).validate(g, 1.0)
     with pytest.raises(InitialDataError):      # run validates first
         run(g, ModelParams(chi=0.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics()),
             InitialData(u0=ones, w0=np.ones((16, 8))), t_end=0.1)
