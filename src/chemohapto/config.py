@@ -236,13 +236,16 @@ def _parse_pairs(raw: str, sec: str, key: str, origin: str, text: str) -> tuple:
         part = part.strip()
         if not part:
             continue
-        bits = part.split(":")
-        if len(bits) != 2:
+        try:
+            x, y = (float(b) for b in part.split(":"))
+        except ValueError:
+            x = y = math.nan
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ConfigError(
-                f"{origin}: {sec}.{key} entries must look like x:y, got {part!r}"
-                f"{_locate(text, sec, key)}"
+                f"{origin}: {sec}.{key} entries must look like x:y with finite "
+                f"numbers, got {part!r}{_locate(text, sec, key)}"
             )
-        out.append((float(bits[0]), float(bits[1])))
+        out.append((x, y))
     if not out:
         raise ConfigError(f"{origin}: {sec}.{key} is empty{_locate(text, sec, key)}")
     return tuple(out)

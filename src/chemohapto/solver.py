@@ -19,6 +19,7 @@ returned state: the CFL bound of the next step comes from that speed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -129,8 +130,6 @@ def compatibility_constant(grid: Grid, w0: np.ndarray) -> float:
     dx, dy = grid.face_diff(w0)
     ratios = [0.0]
     for d, wm in ((dx, 0.5 * (w0[:-1, :] + w0[1:, :])), (dy, 0.5 * (w0[:, :-1] + w0[:, 1:]))):
-        if d.size == 0:
-            continue
         g2 = d ** 2
         bad = (wm <= floor) & (g2 > floor)
         if np.any(bad):
@@ -177,33 +176,17 @@ class State:
 
 
 # ----------------------------------------------------------------------
-# spectral diagonalization
+# spectral solve
 
 
-class _NeumannSpectral:
-    """Cosine-transform diagonalization of the mirror-Neumann Laplacian."""
-
-    def __init__(self, grid: Grid):
-        kx = np.arange(grid.nx)
-        ky = np.arange(grid.ny)
-        lx = (2.0 - 2.0 * np.cos(math.pi * kx / grid.nx)) / grid.hx ** 2
-        ly = (2.0 - 2.0 * np.cos(math.pi * ky / grid.ny)) / grid.hy ** 2
-        self.lam = lx[:, None] + ly[None, :]
-        self.lam_max = float(self.lam[-1, -1])
-
-    def solve(self, b: np.ndarray, c0: float, diff: float) -> np.ndarray:
-        """Exact solve of (c0 I - diff * Lap) x = b; c0 > 0, diff >= 0."""
-        coef = scipy.fft.dctn(b, type=2, norm="ortho")
-        coef /= (c0 + diff * self.lam)
-        return scipy.fft.idctn(coef, type=2, norm="ortho")
-
-
-def _spectral(grid: Grid) -> _NeumannSpectral:
-    sp = getattr(grid, "_neumann_spectral", None)
-    if sp is None:
-        sp = _NeumannSpectral(grid)
-        grid._neumann_spectral = sp
-    return sp
+@functools.lru_cache(maxsize=8)
+def _neumann_eigenvalues(nx: int, ny: int, hx: float, hy: float) -> np.ndarray:
+    """Eigenvalues of the mirror-Neumann -Lap on the cosine modes (read-only)."""
+    lx = (2.0 - 2.0 * np.cos(math.pi * np.arange(nx) / nx)) / hx ** 2
+    ly = (2.0 - 2.0 * np.cos(math.pi * np.arange(ny) / ny)) / hy ** 2
+    lam = lx[:, None] + ly[None, :]
+    lam.flags.writeable = False
+    return lam
 
 
 def _norm2(a: np.ndarray) -> float:
@@ -214,11 +197,13 @@ def _norm2(a: np.ndarray) -> float:
 
 def _cg_helmholtz(grid: Grid, b: np.ndarray, c0: float, diff: float,
                   tol: float) -> np.ndarray:
-    """Direct spectral solve of (c0 I - diff*Lap) x = b with a residual guard.
+    """Direct spectral solve of (c0 I - diff*Lap) x = b with a residual guard;
+    c0 > 0, diff >= 0.
 
     The cosine transform diagonalizes the operator exactly, so one solve is
-    the whole method; the name is historical and no iteration runs.  Every
-    call evaluates the residual r and raises RuntimeError unless
+    the whole method and no iteration runs.  The name stays because the
+    benchmark's tracer times the Helmholtz layer under it.  Every call
+    evaluates the residual r and raises RuntimeError unless
 
         ||r||_2 <= max(tol * ||b||_2, eps * (c0 + diff * lam_max) * ||x||_2),
 
@@ -226,14 +211,16 @@ def _cg_helmholtz(grid: Grid, b: np.ndarray, c0: float, diff: float,
     (lam_max is the largest eigenvalue of -Lap); a tol below that floor
     cannot be certified by any solver.  A non-finite residual also raises.
     """
-    sp = _spectral(grid)
-    x = sp.solve(b, c0, diff)
+    lam = _neumann_eigenvalues(grid.nx, grid.ny, grid.hx, grid.hy)
+    coef = scipy.fft.dctn(b, type=2, norm="ortho")
+    coef /= (c0 + diff * lam)
+    x = scipy.fft.idctn(coef, type=2, norm="ortho")
     r = grid.laplacian_neumann(x)
     r *= diff
     np.subtract(c0 * x, r, out=r)
     np.subtract(b, r, out=r)       # r = b - (c0 x - diff Lap x)
     rn = _norm2(r)
-    floor = np.finfo(float).eps * (c0 + diff * sp.lam_max) * _norm2(x)
+    floor = np.finfo(float).eps * (c0 + diff * float(lam[-1, -1])) * _norm2(x)
     target = max(tol * _norm2(b), floor)
     if not rn <= target:
         raise RuntimeError(
@@ -259,13 +246,12 @@ def _face_speed(params: ModelParams, vx: np.ndarray, vy: np.ndarray,
     # overwrites its arguments, which callers no longer need
     speed = 0.0
     for dv, dw in ((vx, wx), (vy, wy)):
-        if dv.size:
-            np.abs(dv, out=dv)
-            dv *= params.chi
-            np.abs(dw, out=dw)
-            dw *= params.xi
-            dv += dw
-            speed = max(speed, float(np.max(dv)))
+        np.abs(dv, out=dv)
+        dv *= params.chi
+        np.abs(dw, out=dw)
+        dw *= params.xi
+        dv += dw
+        speed = max(speed, float(np.max(dv)))
     return speed
 
 
@@ -282,16 +268,6 @@ def dt_cfl(grid: Grid, params: ModelParams, v: np.ndarray, w: np.ndarray,
     return _dt_from_speed(grid, speed, dt_max, safety)
 
 
-def _update_v(grid: Grid, params: ModelParams, u: np.ndarray, v: np.ndarray,
-              dt: float, num: Numerics) -> np.ndarray:
-    if params.tau == 0.0:
-        return _cg_helmholtz(grid, u, 1.0, 1.0, num.elliptic_tol)
-    # implicit Euler: (tau/dt + 1 - Lap) v_new = (tau/dt) v + u
-    c0 = params.tau / dt + 1.0
-    rhs = (params.tau / dt) * v + u
-    return _cg_helmholtz(grid, rhs, c0, 1.0, num.elliptic_tol)
-
-
 def step(grid: Grid, state: State, params: ModelParams, dt: float,
          num: Numerics = Numerics()) -> State:
     """One split step of length dt from a valid state.
@@ -305,10 +281,15 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
         raise ValueError(f"dt must be positive, got {dt}")
     u, v, w = state.u, state.v, state.w
 
-    v_new = _update_v(grid, params, u, v, dt, num)
+    if params.tau == 0.0:
+        v_new = v_frozen = _cg_helmholtz(grid, u, 1.0, 1.0, num.elliptic_tol)
+    else:
+        # implicit Euler: (tau/dt + 1 - Lap) v_new = (tau/dt) v + u
+        v_new = _cg_helmholtz(grid, (params.tau / dt) * v + u, params.tau / dt + 1.0,
+                              1.0, num.elliptic_tol)
+        v_frozen = 0.5 * (v + v_new)
     # exact decay w -> w * exp(-dt * v) with v frozen over the step;
     # the max with 0 guards the monotone decrease against solver rounding
-    v_frozen = v_new if params.tau == 0.0 else 0.5 * (v + v_new)
     w_new = np.maximum(v_frozen, 0.0)
     w_new *= -dt
     np.exp(w_new, out=w_new)
@@ -381,8 +362,10 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
         raise ValueError(f"t_end must be positive, got {t_end}")
     if observe_interval is None:
         observe_interval = t_end / 128.0
-    if observe_interval <= 0:
-        raise ValueError(f"observe_interval must be positive, got {observe_interval}")
+    tiny = 1e-12 * t_end          # the run's time resolution
+    if not observe_interval >= tiny:
+        raise ValueError(f"observe_interval must be at least 1e-12 * t_end = {tiny:.3g}, "
+                         f"got {observe_interval}")
 
     state = initial_state(grid, params, ic, num)
     consts = DerivedConstants.from_ic(grid, ic)
@@ -391,7 +374,6 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
         diagnostics.make_record(grid, params, state, consts, num, residual=0.0, dt=0.0)
     )
     next_obs = observe_interval
-    tiny = 1e-12 * t_end
     while state.t < t_end - tiny:
         if state.face_speed is None:
             dt = dt_cfl(grid, params, state.v, state.w, num.dt_max, num.cfl_safety)
@@ -414,8 +396,7 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
                 diagnostics.make_record(grid, params, state, consts, num,
                                         residual=residual, dt=dt)
             )
-            while next_obs <= state.t + tiny:
-                next_obs += observe_interval
+            next_obs = observe_interval * (math.floor((state.t + tiny) / observe_interval) + 1)
         if state.status != "ok":
             result.status = "diverged"
             result.diverged_t = state.t

@@ -130,6 +130,14 @@ def test_modes_format_error(tmp_path):
         load_config(write_ini(tmp_path, body))
 
 
+@pytest.mark.parametrize("entry", ["a:0.5", "nan:0.5"])
+def test_centers_entries_must_be_finite_numbers(tmp_path, entry):
+    body = BASE.format(out=tmp_path).replace(
+        "preset = homogeneous", f"preset = gaussian-bump\ncenters = {entry}")
+    with pytest.raises(ConfigError, match=r"ic\.centers.*x:y.*finite.*line"):
+        load_config(write_ini(tmp_path, body))
+
+
 def test_override_revalidates(tmp_path):
     cfg = load_config(write_ini(tmp_path, BASE.format(out=tmp_path)))
     hot = edited(cfg, "model", "chi", 2.5)
@@ -219,6 +227,31 @@ def test_run_homogeneous_minimal(tmp_path, capsys):
     rep = json.load(open(os.path.join(out, "report.json")))
     assert rep["run"]["status"] == "ok"
     assert rep["classification"]["label"] == "bounded_plateau"
+
+
+def _run_in_child(tmp_path, observe_every):
+    body = BASE.format(out=tmp_path / "obs").replace(
+        "t_end = 0.1", f"t_end = 0.05\nobserve_every = {observe_every}")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(_SRC))
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "chemohapto.cli", "run", write_ini(tmp_path, body)],
+            env=env, capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"run with observe_every = {observe_every} did not finish in 60 s")
+
+
+def test_observe_every_finer_than_the_step_records_every_step(tmp_path):
+    proc = _run_in_child(tmp_path, 1e-13)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.load(open(tmp_path / "obs" / "report.json"))["run"]
+    assert rep["records"] == rep["steps"] + 1
+
+
+def test_observe_every_below_the_time_resolution_is_an_error(tmp_path):
+    proc = _run_in_child(tmp_path, 1e-18)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "observe_interval" in proc.stderr
 
 
 def test_run_writes_field_and_svg_artifacts(tmp_path):

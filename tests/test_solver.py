@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,9 +127,9 @@ def test_corrupted_spectral_solve_raises(monkeypatch):
     g = Grid(16, 16)
     u = np.random.default_rng(8).random(g.shape) + 0.5
     solve_elliptic_v(g, u)
-    exact = solver._NeumannSpectral.solve
-    monkeypatch.setattr(solver._NeumannSpectral, "solve",
-                        lambda self, b, c0, diff: exact(self, b, c0, diff) * (1.0 + 1e-6))
+    exact = solver.scipy.fft.idctn
+    monkeypatch.setattr(solver.scipy.fft, "idctn",
+                        lambda *a, **kw: exact(*a, **kw) * (1.0 + 1e-6))
     with pytest.raises(RuntimeError, match="residual"):
         solve_elliptic_v(g, u)
 
@@ -149,8 +150,25 @@ def test_tol_below_rounding_floor_is_met_at_the_floor():
     u = np.random.default_rng(4).random(g.shape)
     v = solve_elliptic_v(g, u, tol=1e-14)
     r = u - (v - g.laplacian_neumann(v))
-    floor = np.finfo(float).eps * (1.0 + solver._spectral(g).lam.max()) * np.linalg.norm(v)
+    lam = solver._neumann_eigenvalues(g.nx, g.ny, g.hx, g.hy)
+    floor = np.finfo(float).eps * (1.0 + lam.max()) * np.linalg.norm(v)
     assert 1e-14 * np.linalg.norm(u) < np.linalg.norm(r) <= floor
+
+
+def test_cg_helmholtz_is_one_cosine_solve_bitwise():
+    # same shape, different spacing: eigenvalues cached on the shape alone
+    # would solve the second grid with the first grid's operator
+    rng = np.random.default_rng(11)
+    for g in (Grid(12, 7, 2.0, 0.5), Grid(12, 7)):
+        kx, ky = np.arange(g.nx), np.arange(g.ny)
+        lam = ((2.0 - 2.0 * np.cos(math.pi * kx / g.nx)) / g.hx ** 2)[:, None] \
+            + ((2.0 - 2.0 * np.cos(math.pi * ky / g.ny)) / g.hy ** 2)[None, :]
+        b = rng.random(g.shape) + 0.1
+        for c0, diff in ((0.5 / 1e-3 + 1.0, 1.0), (1.0, 1e-3)):    # signal, diffusion
+            want = scipy.fft.idctn(scipy.fft.dctn(b, type=2, norm="ortho")
+                                   / (c0 + diff * lam), type=2, norm="ortho")
+            assert np.array_equal(solver._cg_helmholtz(g, b, c0, diff, 1e-10), want)
+    assert not solver._neumann_eigenvalues(12, 7, 1.0 / 12, 1.0 / 7).flags.writeable
 
 
 # ---------------------------------------------------------------- stepping
