@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -314,7 +313,12 @@ def cmd_sweep(args) -> int:
     workers = min(cfg.threads, len(jobs))
     t0 = time.time()
     if workers > 1:
-        with Pool(processes=workers, initializer=_keep_freed_buffers) as pool:
+        # only a parallel sweep forks, so only it loads the process pool; it
+        # imports scipy.fft first so that the forked workers inherit it
+        import multiprocessing
+        import scipy.fft  # noqa: F401
+        with multiprocessing.Pool(processes=workers,
+                                  initializer=_keep_freed_buffers) as pool:
             rows = list(pool.imap_unordered(_sweep_point, jobs))
     else:
         rows = [_sweep_point(j) for j in jobs]

@@ -17,10 +17,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+# numpy loads np.random on first use; load it with the package instead, so
+# that a noisy preset's first draw (and its secrets/hashlib imports) is not
+# paid inside a command
+import numpy.random  # noqa: F401
 
 from .grid import Grid
 from .kinetics import _KINETICS_TYPES, make_kinetics
-from .solver import InitialData, ModelParams, Numerics
+from .solver import TIME_RESOLUTION, InitialData, ModelParams, Numerics
 
 
 class ConfigError(ValueError):
@@ -320,6 +324,10 @@ def build_run_config(sections: dict, origin: str = "<memory>", text: str = "") -
     dt_max = rd.real("time", "dt_max", default=1e-2, lo=0.0, lo_open=True)
     observe = rd.real("time", "observe_every", default=0.0, lo=0.0)
     observe_every = None if observe == 0.0 else observe
+    tiny = TIME_RESOLUTION * t_end
+    if observe_every is not None and observe_every < tiny:
+        raise rd._fail("time", "observe_every",
+                       f"0 or at least {TIME_RESOLUTION:g} * t_end = {tiny:.3g}", observe)
 
     numerics = Numerics(
         elliptic_tol=rd.real("numerics", "elliptic_tol", default=1e-10,

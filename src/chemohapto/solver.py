@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.fft
 
 from .grid import Grid
 from .kinetics import Kinetics
@@ -198,7 +197,7 @@ def _norm2(a: np.ndarray) -> float:
 def _cg_helmholtz(grid: Grid, b: np.ndarray, c0: float, diff: float,
                   tol: float) -> np.ndarray:
     """Direct spectral solve of (c0 I - diff*Lap) x = b with a residual guard;
-    c0 > 0, diff >= 0.
+    c0 > 0, diff >= 0.  b is left unchanged.
 
     The cosine transform diagonalizes the operator exactly, so one solve is
     the whole method and no iteration runs.  The name stays because the
@@ -211,10 +210,11 @@ def _cg_helmholtz(grid: Grid, b: np.ndarray, c0: float, diff: float,
     (lam_max is the largest eigenvalue of -Lap); a tol below that floor
     cannot be certified by any solver.  A non-finite residual also raises.
     """
+    import scipy.fft    # here, not at module top: `check` never solves
     lam = _neumann_eigenvalues(grid.nx, grid.ny, grid.hx, grid.hy)
     coef = scipy.fft.dctn(b, type=2, norm="ortho")
     coef /= (c0 + diff * lam)
-    x = scipy.fft.idctn(coef, type=2, norm="ortho")
+    x = scipy.fft.idctn(coef, type=2, norm="ortho", overwrite_x=True)
     r = grid.laplacian_neumann(x)
     r *= diff
     np.subtract(c0 * x, r, out=r)
@@ -349,6 +349,11 @@ class RunResult:
     clipped_mass: float = 0.0     # total removed by the clip, over every step
 
 
+# a run's time resolution, as a fraction of t_end: times closer than this
+# count as equal, so no observation interval may be finer
+TIME_RESOLUTION = 1e-12
+
+
 def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
         num: Numerics = Numerics(), observe_interval: Optional[float] = None) -> RunResult:
     """Integrate to t_end with adaptive CFL-bounded steps.
@@ -362,10 +367,10 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
         raise ValueError(f"t_end must be positive, got {t_end}")
     if observe_interval is None:
         observe_interval = t_end / 128.0
-    tiny = 1e-12 * t_end          # the run's time resolution
+    tiny = TIME_RESOLUTION * t_end
     if not observe_interval >= tiny:
-        raise ValueError(f"observe_interval must be at least 1e-12 * t_end = {tiny:.3g}, "
-                         f"got {observe_interval}")
+        raise ValueError(f"observe_interval must be at least {TIME_RESOLUTION:g} * t_end "
+                         f"= {tiny:.3g}, got {observe_interval}")
 
     state = initial_state(grid, params, ic, num)
     consts = DerivedConstants.from_ic(grid, ic)

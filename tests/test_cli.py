@@ -1,6 +1,7 @@
 """Config parsing, initial-condition presets, and the command-line entry."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -249,9 +250,13 @@ def test_observe_every_finer_than_the_step_records_every_step(tmp_path):
 
 
 def test_observe_every_below_the_time_resolution_is_an_error(tmp_path):
+    # rejected with the config's own key and line before any work starts,
+    # so no output directory is made
     proc = _run_in_child(tmp_path, 1e-18)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error:") and "observe_interval" in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "time.observe_every" in proc.stderr and "line" in proc.stderr
+    assert not (tmp_path / "obs").exists()
 
 
 def test_run_writes_field_and_svg_artifacts(tmp_path):
@@ -341,6 +346,34 @@ def test_cli_import_leaves_out_optimize_linalg_and_mpmath():
     assert lines[0] == "[]"
     assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
     assert lines[-1] == "True"
+
+
+_FFT_ON_FIRST_SOLVE = """
+import sys
+loaded = lambda *names: print("loaded", *(n in sys.modules for n in names))
+import chemohapto.cli as cli
+loaded("scipy.fft", "multiprocessing.pool", "numpy.random")
+code = cli.main(["check", sys.argv[1], "--out", sys.argv[3]])
+loaded("scipy.fft")
+code = code or cli.main(["run", sys.argv[2], "--out", sys.argv[4]])
+loaded("scipy.fft")
+sys.exit(code)
+"""
+
+
+def test_scipy_fft_loads_on_the_first_solve(tmp_path):
+    """`import chemohapto.cli` loads neither scipy.fft nor the process pool,
+    but does load numpy.random; a check with tau > 0 still makes no solve,
+    and a run imports scipy.fft."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(_SRC))
+    argv = [os.path.join(CONFIGS, "logistic-tau1.ini"),
+            os.path.join(CONFIGS, "homogeneous-minimal.ini"),
+            str(tmp_path / "check"), str(tmp_path / "run")]
+    proc = subprocess.run([sys.executable, "-c", _FFT_ON_FIRST_SOLVE] + argv,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("loaded")]
+    assert lines == ["loaded False False True", "loaded False", "loaded True"]
 
 
 def test_sweep_single_point_matches_run(tmp_path):
@@ -605,7 +638,7 @@ class _FakePool:
 
 def test_sweep_starts_at_most_one_worker_per_point(tmp_path, monkeypatch):
     monkeypatch.setattr(_FakePool, "made", [])
-    monkeypatch.setattr(cli, "Pool", _FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", _FakePool)
     cfg = os.path.join(CONFIGS, "homogeneous-minimal.ini")
     out = tmp_path / "sw"
     rc = cli_main(["sweep", cfg, "--axis", "chi=0.5:1:2", "--threads", "8",
@@ -619,7 +652,7 @@ def test_sweep_starts_at_most_one_worker_per_point(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["run", "check", "sweep"])
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_is_rejected(tmp_path, monkeypatch, capsys, command, threads):
-    monkeypatch.setattr(cli, "Pool", None)      # no worker may be started
+    monkeypatch.setattr(multiprocessing, "Pool", None)      # no worker may be started
     cfg = os.path.join(CONFIGS, "homogeneous-minimal.ini")
     argv = [command, cfg, "--threads", threads, "--out", str(tmp_path / "o")]
     if command == "sweep":
@@ -631,7 +664,7 @@ def test_threads_below_one_is_rejected(tmp_path, monkeypatch, capsys, command, t
 
 @pytest.mark.parametrize("command", ["run", "check", "sweep"])
 def test_negative_seed_is_rejected(tmp_path, monkeypatch, capsys, command):
-    monkeypatch.setattr(cli, "Pool", None)      # no worker may be started
+    monkeypatch.setattr(multiprocessing, "Pool", None)      # no worker may be started
     cfg = os.path.join(CONFIGS, "logistic-tau1.ini")
     argv = [command, cfg, "--seed", "-1", "--out", str(tmp_path / "o")]
     if command == "sweep":
@@ -645,7 +678,7 @@ def test_negative_seed_is_rejected(tmp_path, monkeypatch, capsys, command):
                                   "chi=nan:1:2", "chi=0:inf:2", "k=1:inf:3:log",
                                   "chi=0:1:10001", "k=1:3:20001"])
 def test_malformed_axis_numbers_are_rejected(tmp_path, monkeypatch, capsys, axis):
-    monkeypatch.setattr(cli, "Pool", None)
+    monkeypatch.setattr(multiprocessing, "Pool", None)
     cfg = os.path.join(CONFIGS, "homogeneous-minimal.ini")
     assert cli_main(["sweep", cfg, "--axis", axis, "--out", str(tmp_path / "o")]) == 2
     assert f"error: bad --axis {axis!r}" in capsys.readouterr().err
@@ -654,7 +687,7 @@ def test_malformed_axis_numbers_are_rejected(tmp_path, monkeypatch, capsys, axis
 
 @pytest.mark.parametrize("command", ["run", "check", "sweep"])
 def test_unusable_out_path_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
-    monkeypatch.setattr(cli, "Pool", None)      # no worker may be started
+    monkeypatch.setattr(multiprocessing, "Pool", None)      # no worker may be started
     taken = tmp_path / "taken"
     taken.write_text("")
     argv = [command, os.path.join(CONFIGS, "homogeneous-minimal.ini"),

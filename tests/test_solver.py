@@ -127,8 +127,8 @@ def test_corrupted_spectral_solve_raises(monkeypatch):
     g = Grid(16, 16)
     u = np.random.default_rng(8).random(g.shape) + 0.5
     solve_elliptic_v(g, u)
-    exact = solver.scipy.fft.idctn
-    monkeypatch.setattr(solver.scipy.fft, "idctn",
+    exact = scipy.fft.idctn
+    monkeypatch.setattr(scipy.fft, "idctn",
                         lambda *a, **kw: exact(*a, **kw) * (1.0 + 1e-6))
     with pytest.raises(RuntimeError, match="residual"):
         solve_elliptic_v(g, u)
@@ -164,10 +164,13 @@ def test_cg_helmholtz_is_one_cosine_solve_bitwise():
         lam = ((2.0 - 2.0 * np.cos(math.pi * kx / g.nx)) / g.hx ** 2)[:, None] \
             + ((2.0 - 2.0 * np.cos(math.pi * ky / g.ny)) / g.hy ** 2)[None, :]
         b = rng.random(g.shape) + 0.1
+        b_in = b.copy()
         for c0, diff in ((0.5 / 1e-3 + 1.0, 1.0), (1.0, 1e-3)):    # signal, diffusion
             want = scipy.fft.idctn(scipy.fft.dctn(b, type=2, norm="ortho")
                                    / (c0 + diff * lam), type=2, norm="ortho")
-            assert np.array_equal(solver._cg_helmholtz(g, b, c0, diff, 1e-10), want)
+            for _ in range(2):      # the second call reuses the cached eigenvalues
+                assert np.array_equal(solver._cg_helmholtz(g, b, c0, diff, 1e-10), want)
+                assert np.array_equal(b, b_in)
     assert not solver._neumann_eigenvalues(12, 7, 1.0 / 12, 1.0 / 7).flags.writeable
 
 
@@ -369,6 +372,13 @@ def test_tau_positive_signal_lags():
 
 
 # ---------------------------------------------------------------- runs
+
+
+def test_run_rejects_observe_interval_below_the_time_resolution():
+    g = Grid(8, 8)
+    params = ModelParams(chi=0.5, xi=0.25, tau=0.0, kinetics=LogisticKinetics(1.0))
+    with pytest.raises(ValueError, match="observe_interval"):
+        run(g, params, bump_ic(g, mass=1.0), t_end=0.05, observe_interval=1e-18)
 
 
 def test_run_records_cadence_and_final():
