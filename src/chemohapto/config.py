@@ -325,13 +325,17 @@ def build_run_config(sections: dict, origin: str = "<memory>", text: str = "") -
     observe = rd.real("time", "observe_every", default=0.0, lo=0.0)
     observe_every = None if observe == 0.0 else observe
     tiny = TIME_RESOLUTION * t_end
+    if dt_max < tiny:
+        raise rd._fail("time", "dt_max",
+                       f"at least {TIME_RESOLUTION:g} * t_end = {tiny:.3g}", dt_max)
     if observe_every is not None and observe_every < tiny:
         raise rd._fail("time", "observe_every",
                        f"0 or at least {TIME_RESOLUTION:g} * t_end = {tiny:.3g}", observe)
 
     numerics = Numerics(
+        # at tol >= 1 the solve guard would accept x = 0 for every right side
         elliptic_tol=rd.real("numerics", "elliptic_tol", default=1e-10,
-                             lo=0.0, lo_open=True),
+                             lo=0.0, hi=1.0, lo_open=True, hi_open=True),
         cfl_safety=rd.real("numerics", "cfl_safety", default=0.4,
                            lo=0.0, hi=1.0, lo_open=True),
         dt_max=dt_max,

@@ -16,8 +16,6 @@ import math
 
 import numpy as np
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def e_tower(m: int) -> float:
     """m-fold exponential of 1: e_tower(0) = 1, e_tower(1) = e, ...
@@ -354,16 +352,19 @@ def _sup_f_plus_eta(spec: Kinetics, eta: float, brackets: dict) -> float:
     """sup over s > 0, w >= 0 of f(s, w) + eta*s.
 
     Finite whenever eta <= cap_b.  By the Kinetics contract the sup over w
-    sits at w = 0; the s sweep uses a log-spaced bracket that expands until
-    the maximum is interior and the tail decays, then a bounded Brent
-    refinement (_bounded_min) around the best grid point.
+    sits at w = 0; the s sweep uses a log-spaced bracket that expands by
+    factors of 100 until the maximum is interior and the tail decays, then
+    a bounded Brent refinement (_bounded_min) around the best grid point.
+    A bracket that would have to reach past s = 1e60 raises ValueError
+    naming the source: the sup is not resolved, and a cap taken from a
+    narrower bracket could lie below it.
 
     brackets maps each bracket level s_hi to its grid and f(grid, 0), and
     is filled in as levels are first reached; mass_cap passes one dict for
     all its eta so that f runs once per level.
     """
     s_hi = 1e8
-    for _ in range(12):
+    while True:
         if s_hi not in brackets:
             s_grid = np.geomspace(1e-9, s_hi, 4096)
             brackets[s_hi] = (s_grid, spec.f(s_grid, 0.0))
@@ -376,7 +377,11 @@ def _sup_f_plus_eta(spec: Kinetics, eta: float, brackets: dict) -> float:
             break
         s_hi *= 100.0
         if s_hi > 1e60:
-            raise RuntimeError("inner envelope sup did not stabilize under bracket expansion")
+            # no commas: the message lands in a sweep.csv cell
+            source = " ".join([spec.name] + [f"{k}={v}" for k, v in spec.params().items()])
+            raise ValueError(f"mass cap: no peak of f + eta*s for {source} at "
+                             f"eta = {eta:.6g} within the bracket search; it stops "
+                             f"at s = 1e60")
     lo = s_grid[max(j - 1, 0)]
     hi = s_grid[min(j + 1, len(s_grid) - 1)]
     _, fun, _ = _bounded_min(lambda t: -(spec._f0(math.exp(t)) + eta * math.exp(t)),
@@ -474,40 +479,20 @@ def _sign_step(d: float) -> float:
     return -1.0 if d < 0.0 else d
 
 
-def _golden_min(fun, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
-    """Golden-section minimizer on [lo, hi]; returns (x, fun(x))."""
-    a, b = float(lo), float(hi)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(max_iter):
-        if abs(b - a) < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fun(d)
-    if fc < fd:
-        return c, fc
-    return d, fd
-
-
 def mass_cap(spec: Kinetics, u0_mass: float, area: float) -> float:
     """A-priori cap on the total cell mass integral.
 
     Returns u0_mass for the zero source; otherwise
     u0_mass + area * inf_{eta in (0, cap_b]} sup_{s, w} (f(s, w) + eta*s) / eta,
     with the correction term floored at zero.  The infimum is located by a
-    coarse log-spaced scan refined with a golden-section search in log(eta).
-    Each eta's sup comes from _sup_f_plus_eta (bracket scan plus Brent
-    refinement); f(s, 0) on each bracket level is evaluated once and shared
-    by all eta of the scan and the search.  By the Kinetics contract the
-    sup over w >= 0 is attained at w = 0, so the cap does not depend on
-    the adhesive field.
+    coarse log-spaced scan refined in log(eta) by the same bounded Brent
+    minimizer (_bounded_min) that refines each sup over s.  Each eta's sup
+    comes from _sup_f_plus_eta (bracket scan plus Brent refinement); f(s, 0)
+    on each bracket level is evaluated once and shared by all eta of the
+    scan and the refinement.  A source whose sup is not resolved below
+    s = 1e60 raises ValueError.  By the Kinetics contract the sup over
+    w >= 0 is attained at w = 0, so the cap does not depend on the
+    adhesive field.
 
     The floor matters for sources that are negative for every s > 0 (the
     iterated-log family with k >= 2 dips to -mu*e_tower(k-1) near s = 0):
@@ -535,7 +520,7 @@ def mass_cap(spec: Kinetics, u0_mass: float, area: float) -> float:
     j = int(np.argmin(cvals))
     lo = coarse[max(j - 1, 0)]
     hi = coarse[min(j + 1, len(coarse) - 1)]
-    _, best = _golden_min(per_eta, lo, hi, tol=1e-12)
+    _, best, _ = _bounded_min(per_eta, lo, hi, xatol=1e-12)
     best = min(best, cvals[j])
     return float(u0_mass + area * max(best, 0.0))
 

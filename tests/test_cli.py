@@ -715,3 +715,52 @@ def test_sweep_point_solver_error_is_reported(tmp_path, monkeypatch):
     header, row = (out / "sweep.csv").read_text().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["error"].startswith("RuntimeError:")
+
+
+# ------------------------------------------- config-time and condition limits
+
+
+def _far_peak(tmp_path, out):
+    """A config whose source's envelope peaks beyond the bracket search in s."""
+    return write_ini(tmp_path, _with_kinetics(out, "sublog_pow",
+                                              "a = 1e70\nb = 1.0\ngamma = 0.5"))
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_mass_cap_past_the_bracket_limit_is_an_error(tmp_path, capsys, command):
+    # no cap is reported, and nothing is written
+    out = tmp_path / "far"
+    assert cli_main([command, _far_peak(tmp_path, out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1e60" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_records_a_mass_cap_past_the_bracket_limit(tmp_path):
+    out = tmp_path / "far"
+    assert cli_main(["sweep", _far_peak(tmp_path, out),
+                     "--axis", "chi=0.5:1:2", "--threads", "1"]) == 0
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 2
+    for row in rows:
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["error"].startswith("ValueError: mass cap") and "1e60" in cells["error"]
+    assert not (out / "point_0000").exists()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("[output]", "[numerics]\nelliptic_tol = 1\n\n[output]", "numerics.elliptic_tol"),
+    ("dt_max = 5e-3", "dt_max = 1e-300", "time.dt_max"),
+], ids=["elliptic_tol", "dt_max"])
+def test_numerics_limits_are_config_errors(tmp_path, capsys, old, new, key):
+    # elliptic_tol >= 1 lets the solve guard accept x = 0; a dt_max below
+    # the time resolution asks for more than 1e12 steps
+    out = tmp_path / "lim"
+    ini = write_ini(tmp_path, BASE.format(out=out).replace(old, new))
+    with pytest.raises(ConfigError, match=rf"{key}.*line"):
+        load_config(ini)
+    for command in ("check", "run"):
+        assert cli_main([command, ini]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+    assert not out.exists()

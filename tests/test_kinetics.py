@@ -396,7 +396,10 @@ REFERENCE = {
 }
 
 # (source, sup_s (f(s, 0) + cap_b s), cap_b, mass_cap(source, 4, 1),
-# mu_1..mu_3), recorded from the closed forms above
+# mu_1..mu_3).  The zero and logistic rows follow from closed forms; every
+# other value is a recorded output of the code.  The last bits of the
+# iterlog k = 1, mu = 1 cap are set by the relative stopping term of the
+# Brent refinement in log(eta).
 PINNED = (
     (ZeroKinetics(), None, None, 4.0, (0.0, 0.0, 0.0)),
     (LogisticKinetics(1.0), 1.000000002, 1.0, 5.000000002, (math.inf,) * 3),
@@ -408,7 +411,7 @@ PINNED = (
     (LogLogSubLogistic(1.0, 1.0), 2.8171864070900636e-10, 1.0, 4.0, (math.inf,) * 3),
     (LogLogSubLogistic(2.0, 0.5), 0.6902911389488622, 0.5, 5.380582277897725,
      (math.inf,) * 3),
-    (IteratedLogKinetics(1, 1.0), 0.5737048386498446, 1.0, 4.000044721527457,
+    (IteratedLogKinetics(1, 1.0), 0.5737048386498446, 1.0, 4.000044721527977,
      (0.9999986370614575, math.inf, math.inf)),
     (IteratedLogKinetics(1, 2.5), 0.2126818602271107, 2.5, 4.0,
      (2.499998629396387, math.inf, math.inf)),
@@ -538,18 +541,43 @@ def test_bounded_min_stops_at_maxiter():
 
 def test_bounded_min_matches_scipy_on_the_source_envelopes(monkeypatch):
     """Every refinement that mass_cap runs on the PINNED sources gives the
-    scipy bits, and M1 stays as pinned."""
-    seen = []
+    scipy bits, and M1 stays as pinned.  Both searches go through the one
+    checked routine: the eta refinement (xatol 1e-12) and the sup over s
+    of every eta (xatol 1e-13)."""
+    tols = []
 
     def checked(fun, lo, hi, xatol=1e-5):
-        seen.append(_assert_matches_scipy(fun, lo, hi, xatol))
-        return seen[-1]
+        tols.append(xatol)
+        return _assert_matches_scipy(fun, lo, hi, xatol)
 
     monkeypatch.setattr(kinetics, "_bounded_min", checked)
     for kin, _, _, m1, _ in PINNED:
-        before = len(seen)
+        tols.clear()
         assert mass_cap(kin, 4.0, 1.0) == m1
-        assert len(seen) - before >= (0 if kin.is_zero else 33)
+        if kin.is_zero:
+            assert tols == []
+        else:
+            assert set(tols) == {1e-12, 1e-13}
+            assert tols.count(1e-12) == 1 and tols.count(1e-13) >= 33
+
+
+def test_mass_cap_resolves_a_peak_far_out():
+    # with a = 1e30 the envelope peaks near s = 4e30.  Where f(s, 0) >= 0,
+    # f/eta + s falls as eta grows, so its value at eta = cap_b, maximized
+    # over any grid of such s, bounds the infimum over eta <= cap_b from
+    # below.  A bracket that stopped at s = 1e30 gave 8.8e59, 2.4x too low.
+    kin = PowerSubLogistic(1e30, 1.0, 0.5)
+    s = np.geomspace(1e-9, 1e60, 400_000)
+    f0 = kin.f(s, 0.0)
+    pos = f0 >= 0.0
+    floor = np.max(f0[pos] / kin.cap_b + s[pos])
+    assert floor > 2.09e60
+    assert mass_cap(kin, 0.0, 1.0) >= floor
+
+
+def test_mass_cap_raises_past_the_bracket_limit():
+    with pytest.raises(ValueError, match=r"sublog_pow a=1e\+70 b=1.0 gamma=0.5 .*s = 1e60"):
+        mass_cap(PowerSubLogistic(1e70, 1.0, 0.5), 4.0, 1.0)
 
 
 def test_mass_cap_evaluates_each_bracket_level_once(monkeypatch):
