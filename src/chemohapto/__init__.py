@@ -70,7 +70,7 @@ from .condition import (
     check_boundedness,
     classify_run,
 )
-from .config import ConfigError, ICSpec, RunConfig, build_initial_data, load_config
+from .config import ConfigError, RunConfig, build_initial_data, load_config
 from .io import read_field, read_report, read_series, write_field, write_report, write_series
 
 __version__ = "0.1.0"
@@ -92,7 +92,7 @@ __all__ = [
     "ThresholdReport", "Classification", "check_boundedness", "classify_run",
     "CASE_TAU0", "CASE_THRESHOLD", "CASE_NONE",
     "CLASS_DIVERGED", "CLASS_GROWING", "CLASS_PLATEAU", "CLASS_UNCLASSIFIED",
-    "ConfigError", "ICSpec", "RunConfig", "build_initial_data", "load_config",
+    "ConfigError", "RunConfig", "build_initial_data", "load_config",
     "read_field", "write_field", "read_series", "write_series",
     "read_report", "write_report",
     "__version__",

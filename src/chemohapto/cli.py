@@ -12,6 +12,7 @@ parameter points in parallel.
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import itertools
 import math
@@ -23,6 +24,7 @@ import numpy as np
 
 from .condition import check_boundedness, classify_run
 from .config import (
+    _SCHEMA,
     ConfigError,
     RunConfig,
     build_initial_data,
@@ -84,11 +86,6 @@ def _apply_cli_overrides(cfg: RunConfig, args) -> RunConfig:
         if threads < 1:
             raise ConfigError(f"--threads must be an integer >= 1, got {threads}")
         cfg.threads = threads
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"--seed must be an integer >= 0, got {seed}")
-        cfg.ic_spec.seed = seed
     return cfg
 
 
@@ -210,13 +207,9 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 # sweep
 
-_AXIS_TARGETS = {
-    "chi": ("model", "chi"),
-    "tau": ("model", "tau"),
-    "mu": ("kinetics", "mu"),
-    "k": ("kinetics", "k"),
-    "mass": ("ic", "mass"),
-}
+# each axis sets the config key of its name; this maps it to its section
+_AXIS_TARGETS = {name: next(sec for sec, keys in _SCHEMA.items() if name in keys)
+                 for name in ("chi", "tau", "mu", "k", "mass")}
 _MAX_POINTS = 10_000    # per axis and per sweep
 
 
@@ -303,11 +296,8 @@ def cmd_sweep(args) -> int:
         sections = {s: dict(kv) for s, kv in cfg.sections.items()}
         assignment = {}
         for name, value in zip(names, combo):
-            sec, key = _AXIS_TARGETS[name]
-            sections.setdefault(sec, {})[key] = repr(value)
+            sections.setdefault(_AXIS_TARGETS[name], {})[name] = repr(value)
             assignment[name] = value
-        if args.seed is not None:
-            sections.setdefault("ic", {})["seed"] = repr(args.seed)
         jobs.append((idx, sections, cfg.origin, assignment, out_root))
 
     workers = min(cfg.threads, len(jobs))
@@ -338,14 +328,14 @@ def cmd_sweep(args) -> int:
     cols = ["point"] + names + ["status", "case", "satisfied", "label",
                                 "plateau", "peak_linf_u", "final_mass", "error"]
     try:
-        with open(os.path.join(out_root, "sweep.csv"), "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
+        with open(os.path.join(out_root, "sweep.csv"), "w", encoding="utf-8",
+                  newline="") as fh:
+            # quoted where needed: an error text may hold commas
+            table = csv.writer(fh, lineterminator="\n")
+            table.writerow(cols)
             for row in rows:
-                cells = []
-                for c in cols:
-                    v = row[c]
-                    cells.append("%.17g" % v if isinstance(v, float) else str(v))
-                fh.write(",".join(cells) + "\n")
+                table.writerow("%.17g" % row[c] if isinstance(row[c], float) else row[c]
+                               for c in cols)
         with open(os.path.join(out_root, "summary.txt"), "w", encoding="utf-8") as fh:
             fh.write(summary + "\n")
     except OSError as exc:
@@ -372,8 +362,6 @@ def make_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out", help="output directory (overrides config)")
         sp.add_argument("--threads", type=int, help="worker count (overrides config)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="RNG seed for randomized IC presets")
 
     sp = sub.add_parser("run", help="integrate one configured run")
     sp.add_argument("config")

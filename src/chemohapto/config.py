@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import configparser
 import copy
+import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 import numpy as np
 # numpy loads np.random on first use; load it with the package instead, so
@@ -31,23 +33,80 @@ class ConfigError(ValueError):
     """Raised for unparseable or out-of-range configuration input."""
 
 
-_SECTIONS = {
-    "model": {"chi", "xi", "tau", "kinetics"},
-    "kinetics": {n for cls in _KINETICS_TYPES.values() for n in cls.PARAMS},
-    "grid": {"nx", "ny", "lx", "ly"},
+class _Key(NamedTuple):
+    """One config key: its kind, its default when absent, and the values it
+    accepts.  Reals are range-checked against lo and hi (open or closed),
+    integers against lo; a string with choices matches them case-blind.
+    The kinds modes and pairs read "mx,my" integers and "x:y, ..." reals."""
+
+    kind: str               # real | integer | boolean | string | modes | pairs
+    default: object = None
+    required: bool = False
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    lo_open: bool = False
+    hi_open: bool = False
+    choices: Optional[tuple] = None
+
+
+# Every section and key a config may hold, in the order they are checked.
+# Defaults of keys that fill a Grid or Numerics are read from there.
+_SCHEMA = {
+    "grid": {
+        "nx": _Key("integer", required=True, lo=4),
+        "ny": _Key("integer", required=True, lo=4),
+        "lx": _Key("real", Grid.__init__.__defaults__[0], lo=0.0, lo_open=True),
+        "ly": _Key("real", Grid.__init__.__defaults__[1], lo=0.0, lo_open=True),
+    },
+    "model": {
+        "chi": _Key("real", required=True, lo=0.0),
+        "xi": _Key("real", required=True, lo=0.0),
+        "tau": _Key("real", required=True, lo=0.0),
+        "kinetics": _Key("string", required=True, choices=tuple(_KINETICS_TYPES)),
+    },
+    # the chosen source reads its own PARAMS, every one required
+    "kinetics": {n: _Key("real", required=True)
+                 for cls in _KINETICS_TYPES.values() for n in cls.PARAMS},
     "ic": {
-        "preset", "mass", "u_value", "w_value", "v_value",
-        "u_base", "u_eps", "modes", "centers", "width", "amplitude",
-        "noise", "seed", "u0_path", "w0_path", "v0_path",
+        "preset": _Key("string", required=True,
+                       choices=("homogeneous", "cosine-perturbation", "gaussian-bump", "file")),
+        "mass": _Key("real", lo=0.0, lo_open=True),
+        "u_value": _Key("real", 1.0, lo=0.0),
+        "w_value": _Key("real", 0.0, lo=0.0),
+        "v_value": _Key("real", lo=0.0),
+        "u_base": _Key("real", 1.0, lo=0.0),
+        "u_eps": _Key("real", 0.1),
+        "width": _Key("real", 0.1, lo=0.0, lo_open=True),
+        "amplitude": _Key("real", 1.0, lo=0.0, lo_open=True),
+        "noise": _Key("real", 0.0, lo=0.0, hi=0.9),
+        "seed": _Key("integer", 0, lo=0),
+        "u0_path": _Key("string"),
+        "w0_path": _Key("string"),
+        "v0_path": _Key("string"),
+        "modes": _Key("modes", (1, 1)),
+        "centers": _Key("pairs", ((0.5, 0.5),)),
     },
-    "time": {"t_end", "dt_max", "observe_every"},
+    "time": {
+        "t_end": _Key("real", required=True, lo=0.0, lo_open=True),
+        "dt_max": _Key("real", Numerics.dt_max, lo=0.0, lo_open=True),
+        "observe_every": _Key("real", 0.0, lo=0.0),
+    },
     "numerics": {
-        "elliptic_tol", "overflow_guard", "cfl_safety", "g_order", "threads",
+        # at tol >= 1 the solve guard would accept x = 0 for every right side
+        "elliptic_tol": _Key("real", Numerics.elliptic_tol, lo=0.0, hi=1.0,
+                             lo_open=True, hi_open=True),
+        "overflow_guard": _Key("real", Numerics.overflow_guard, lo=0.0, lo_open=True),
+        "threads": _Key("integer", 1, lo=1),
     },
-    "output": {"dir", "fields", "svg"},
+    "output": {
+        "dir": _Key("string", "out"),
+        "fields": _Key("boolean", True),
+        "svg": _Key("boolean", True),
+    },
 }
 
-_PRESETS = ("homogeneous", "cosine-perturbation", "gaussian-bump", "file")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def _locate(text: str, section: str, key: Optional[str] = None) -> str:
@@ -78,43 +137,22 @@ def _locate(text: str, section: str, key: Optional[str] = None) -> str:
 
 
 @dataclass
-class ICSpec:
-    """Initial-condition preset plus its raw parameters."""
-
-    preset: str
-    mass: Optional[float] = None
-    u_value: float = 1.0
-    w_value: float = 0.0
-    v_value: Optional[float] = None
-    u_base: float = 1.0
-    u_eps: float = 0.1
-    modes: tuple = (1, 1)
-    centers: tuple = ((0.5, 0.5),)
-    width: float = 0.1
-    amplitude: float = 1.0
-    noise: float = 0.0
-    seed: int = 0
-    u0_path: Optional[str] = None
-    w0_path: Optional[str] = None
-    v0_path: Optional[str] = None
-
-
-@dataclass
 class RunConfig:
-    """Everything a run needs, validated; built from an INI file."""
+    """Everything a run needs, validated; built from an INI file.  ic holds
+    every [ic] key by name, defaults filled in and the preset lower-cased."""
 
     grid: Grid
     params: ModelParams
-    ic_spec: ICSpec
+    ic: SimpleNamespace
     t_end: float
     observe_every: Optional[float]
     numerics: Numerics
-    threads: int = 1
-    out_dir: str = "out"
-    write_fields: bool = True
-    write_svg: bool = True
-    origin: str = "<memory>"
-    sections: dict = field(default_factory=dict, repr=False)
+    threads: int
+    out_dir: str
+    write_fields: bool
+    write_svg: bool
+    origin: str
+    sections: dict = field(repr=False)
 
 
 def read_ini(path: str) -> tuple:
@@ -133,146 +171,110 @@ def read_ini(path: str) -> tuple:
     return sections, text
 
 
-def _known_or_raise(sections: dict, origin: str, text: str) -> None:
-    for sec, kv in sections.items():
-        if sec not in _SECTIONS:
-            raise ConfigError(
-                f"{origin}: unknown section [{sec}]{_locate(text, sec)}; "
-                f"expected one of {sorted(_SECTIONS)}"
-            )
-        for key in kv:
-            if key not in _SECTIONS[sec]:
-                raise ConfigError(
-                    f"{origin}: unknown key {sec}.{key}{_locate(text, sec, key)}; "
-                    f"allowed keys: {sorted(_SECTIONS[sec])}"
-                )
+def _fail(origin: str, text: str, sec: str, key: str, need: str, got) -> ConfigError:
+    return ConfigError(f"{origin}: {sec}.{key} {need}, got {got!r}{_locate(text, sec, key)}")
 
 
-class _Reader:
-    """Typed, range-checked access into one parsed section dict."""
-
-    def __init__(self, sections: dict, origin: str, text: str):
-        self.sections = sections
-        self.origin = origin
-        self.text = text
-
-    def _raw(self, sec: str, key: str, default, required: bool):
-        kv = self.sections.get(sec, {})
-        if key not in kv:
-            if required:
-                raise ConfigError(
-                    f"{self.origin}: missing required key {sec}.{key}"
-                    f"{_locate(self.text, sec)}"
-                )
-            return default
-        return kv[key]
-
-    def _fail(self, sec: str, key: str, need: str, got) -> ConfigError:
-        return ConfigError(
-            f"{self.origin}: {sec}.{key} must be {need}, got {got!r}"
-            f"{_locate(self.text, sec, key)}"
-        )
-
-    def real(self, sec, key, default=None, required=False,
-             lo=None, hi=None, lo_open=False, hi_open=False):
-        raw = self._raw(sec, key, default, required)
-        if raw is None or isinstance(raw, float):
-            return raw
-        try:
-            val = float(raw)
-        except ValueError:
-            raise self._fail(sec, key, "a real number", raw) from None
-        if not math.isfinite(val):
-            raise self._fail(sec, key, "finite", raw)
-        bounds = _range_text(lo, hi, lo_open, hi_open)
-        if lo is not None and (val <= lo if lo_open else val < lo):
-            raise self._fail(sec, key, f"in {bounds}", val)
-        if hi is not None and (val >= hi if hi_open else val > hi):
-            raise self._fail(sec, key, f"in {bounds}", val)
-        return val
-
-    def integer(self, sec, key, default=None, required=False, lo=None, hi=None):
-        raw = self._raw(sec, key, default, required)
-        if raw is None or isinstance(raw, int):
-            return raw
-        try:
-            val = int(str(raw), 10)
-        except ValueError:
-            raise self._fail(sec, key, "an integer", raw) from None
-        if lo is not None and val < lo:
-            raise self._fail(sec, key, f"an integer >= {lo}", val)
-        if hi is not None and val > hi:
-            raise self._fail(sec, key, f"an integer <= {hi}", val)
-        return val
-
-    def boolean(self, sec, key, default=False):
-        raw = self._raw(sec, key, default, required=False)
-        if isinstance(raw, bool):
-            return raw
-        low = str(raw).strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise self._fail(sec, key, "a boolean (1/0/true/false/yes/no)", raw)
-
-    def string(self, sec, key, default=None, required=False, choices=None):
-        raw = self._raw(sec, key, default, required)
-        if raw is None:
-            return None
-        val = str(raw).strip()
-        if choices is not None and val.lower() not in choices:
-            raise self._fail(sec, key, f"one of {sorted(choices)}", val)
-        return val
-
-
-def _range_text(lo, hi, lo_open, hi_open) -> str:
-    left = "(" if lo_open else "["
-    right = ")" if hi_open else "]"
-    a = "-inf" if lo is None else f"{lo:g}"
-    b = "+inf" if hi is None else f"{hi:g}"
+def _range_text(spec: _Key) -> str:
+    left = "(" if spec.lo_open else "["
+    right = ")" if spec.hi_open else "]"
+    a = "-inf" if spec.lo is None else f"{spec.lo:g}"
+    b = "+inf" if spec.hi is None else f"{spec.hi:g}"
     return f"{left}{a}, {b}{right}"
 
 
-def _parse_pairs(raw: str, sec: str, key: str, origin: str, text: str) -> tuple:
-    out = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
+def _parse(sections: dict, origin: str, text: str, sec: str, keys=None) -> dict:
+    """{key: value} of one section, typed and range-checked as _SCHEMA says,
+    for the given keys (all of the section's by default) in order; an
+    absent key takes its default, and an absent required key fails."""
+    given = sections.get(sec, {})
+    out = {}
+    for key in _SCHEMA[sec] if keys is None else keys:
+        spec = _SCHEMA[sec][key]
+        if key not in given:
+            if spec.required:
+                raise ConfigError(f"{origin}: missing required key {sec}.{key}"
+                                  f"{_locate(text, sec)}")
+            out[key] = spec.default
             continue
-        try:
-            x, y = (float(b) for b in part.split(":"))
-        except ValueError:
-            x = y = math.nan
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ConfigError(
-                f"{origin}: {sec}.{key} entries must look like x:y with finite "
-                f"numbers, got {part!r}{_locate(text, sec, key)}"
-            )
-        out.append((x, y))
-    if not out:
-        raise ConfigError(f"{origin}: {sec}.{key} is empty{_locate(text, sec, key)}")
-    return tuple(out)
+        raw = given[key]
+
+        def bad(need, got=raw):
+            return _fail(origin, text, sec, key, need, got)
+
+        if spec.kind == "real":
+            try:
+                val = float(raw)
+            except ValueError:
+                raise bad("must be a real number") from None
+            if not math.isfinite(val):
+                raise bad("must be finite")
+            below = spec.lo is not None and (val <= spec.lo if spec.lo_open else val < spec.lo)
+            above = spec.hi is not None and (val >= spec.hi if spec.hi_open else val > spec.hi)
+            if below or above:
+                raise bad(f"must be in {_range_text(spec)}", val)
+        elif spec.kind == "integer":
+            try:
+                val = int(str(raw), 10)
+            except ValueError:
+                raise bad("must be an integer") from None
+            if spec.lo is not None and val < spec.lo:
+                raise bad(f"must be an integer >= {spec.lo}", val)
+        elif spec.kind == "boolean":
+            val = _BOOLEANS.get(str(raw).strip().lower())
+            if val is None:
+                raise bad("must be a boolean (1/0/true/false/yes/no)")
+        else:
+            val = str(raw).strip()
+            if spec.choices is not None and val.lower() not in spec.choices:
+                raise bad(f"must be one of {sorted(spec.choices)}", val)
+            if spec.kind == "modes":
+                try:
+                    mx, my = (int(b) for b in val.split(","))
+                except ValueError:
+                    raise bad("must look like mx,my with integers", val) from None
+                val = (mx, my)
+            elif spec.kind == "pairs":
+                pairs = []
+                for part in filter(None, (p.strip() for p in val.split(","))):
+                    try:
+                        x, y = (float(b) for b in part.split(":"))
+                    except ValueError:
+                        x = y = math.nan
+                    if not (math.isfinite(x) and math.isfinite(y)):
+                        raise bad("entries must look like x:y with finite numbers", part)
+                    pairs.append((x, y))
+                if not pairs:
+                    raise ConfigError(f"{origin}: {sec}.{key} is empty"
+                                      f"{_locate(text, sec, key)}")
+                val = tuple(pairs)
+        out[key] = val
+    return out
 
 
 def build_run_config(sections: dict, origin: str = "<memory>", text: str = "") -> RunConfig:
     """Validate a parsed section tree and assemble the run objects."""
-    _known_or_raise(sections, origin, text)
-    rd = _Reader(sections, origin, text)
+    for sec, kv in sections.items():
+        if sec not in _SCHEMA:
+            raise ConfigError(
+                f"{origin}: unknown section [{sec}]{_locate(text, sec)}; "
+                f"expected one of {sorted(_SCHEMA)}"
+            )
+        for key in kv:
+            if key not in _SCHEMA[sec]:
+                raise ConfigError(
+                    f"{origin}: unknown key {sec}.{key}{_locate(text, sec, key)}; "
+                    f"allowed keys: {sorted(_SCHEMA[sec])}"
+                )
+    read = functools.partial(_parse, sections, origin, text)
 
-    nx = rd.integer("grid", "nx", required=True, lo=4)
-    ny = rd.integer("grid", "ny", required=True, lo=4)
-    lx = rd.real("grid", "lx", default=1.0, lo=0.0, lo_open=True)
-    ly = rd.real("grid", "ly", default=1.0, lo=0.0, lo_open=True)
-    grid = Grid(nx, ny, lx, ly)
+    g = read("grid")
+    grid = Grid(g["nx"], g["ny"], g["lx"], g["ly"])
 
-    chi = rd.real("model", "chi", required=True, lo=0.0)
-    xi = rd.real("model", "xi", required=True, lo=0.0)
-    tau = rd.real("model", "tau", required=True, lo=0.0)
-    kind = rd.string("model", "kinetics", required=True,
-                     choices=set(_KINETICS_TYPES))
+    model = read("model")
+    kind = model["kinetics"]
     names = _KINETICS_TYPES[kind.lower()].PARAMS
-    kin_params = {name: rd.real("kinetics", name, required=True) for name in names}
+    kin_params = read("kinetics", names)
     extra = set(sections.get("kinetics", {})) - set(names)
     if extra:
         raise ConfigError(
@@ -289,73 +291,37 @@ def build_run_config(sections: dict, origin: str = "<memory>", text: str = "") -
         raise ConfigError(
             f"{origin}: kinetics.{key}: {exc}{_locate(text, 'kinetics', key)}"
         ) from exc
-    params = ModelParams(chi=chi, xi=xi, tau=tau, kinetics=kinetics)
+    params = ModelParams(chi=model["chi"], xi=model["xi"], tau=model["tau"],
+                         kinetics=kinetics)
 
-    preset = rd.string("ic", "preset", required=True, choices=set(_PRESETS))
-    ic_spec = ICSpec(
-        preset=preset.lower(),
-        mass=rd.real("ic", "mass", default=None, lo=0.0, lo_open=True),
-        u_value=rd.real("ic", "u_value", default=1.0, lo=0.0),
-        w_value=rd.real("ic", "w_value", default=0.0, lo=0.0),
-        v_value=rd.real("ic", "v_value", default=None, lo=0.0),
-        u_base=rd.real("ic", "u_base", default=1.0, lo=0.0),
-        u_eps=rd.real("ic", "u_eps", default=0.1),
-        width=rd.real("ic", "width", default=0.1, lo=0.0, lo_open=True),
-        amplitude=rd.real("ic", "amplitude", default=1.0, lo=0.0, lo_open=True),
-        noise=rd.real("ic", "noise", default=0.0, lo=0.0, hi=0.9),
-        seed=rd.integer("ic", "seed", default=0, lo=0),
-        u0_path=rd.string("ic", "u0_path"),
-        w0_path=rd.string("ic", "w0_path"),
-        v0_path=rd.string("ic", "v0_path"),
-    )
-    raw_modes = rd.string("ic", "modes", default="1,1")
-    try:
-        mx, my = (int(b) for b in raw_modes.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"{origin}: ic.modes must look like mx,my with integers, got "
-            f"{raw_modes!r}{_locate(text, 'ic', 'modes')}"
-        ) from None
-    ic_spec.modes = (mx, my)
-    raw_centers = rd.string("ic", "centers", default="0.5:0.5")
-    ic_spec.centers = _parse_pairs(raw_centers, "ic", "centers", origin, text)
+    ic = SimpleNamespace(**read("ic"))
+    ic.preset = ic.preset.lower()
 
-    t_end = rd.real("time", "t_end", required=True, lo=0.0, lo_open=True)
-    dt_max = rd.real("time", "dt_max", default=1e-2, lo=0.0, lo_open=True)
-    observe = rd.real("time", "observe_every", default=0.0, lo=0.0)
+    t = read("time")
+    t_end, dt_max, observe = t["t_end"], t["dt_max"], t["observe_every"]
     observe_every = None if observe == 0.0 else observe
     tiny = TIME_RESOLUTION * t_end
     if dt_max < tiny:
-        raise rd._fail("time", "dt_max",
-                       f"at least {TIME_RESOLUTION:g} * t_end = {tiny:.3g}", dt_max)
+        raise _fail(origin, text, "time", "dt_max", f"must be at least "
+                    f"{TIME_RESOLUTION:g} * t_end = {tiny:.3g}", dt_max)
     if observe_every is not None and observe_every < tiny:
-        raise rd._fail("time", "observe_every",
-                       f"0 or at least {TIME_RESOLUTION:g} * t_end = {tiny:.3g}", observe)
+        raise _fail(origin, text, "time", "observe_every", f"must be 0 or at least "
+                    f"{TIME_RESOLUTION:g} * t_end = {tiny:.3g}", observe)
 
-    numerics = Numerics(
-        # at tol >= 1 the solve guard would accept x = 0 for every right side
-        elliptic_tol=rd.real("numerics", "elliptic_tol", default=1e-10,
-                             lo=0.0, hi=1.0, lo_open=True, hi_open=True),
-        cfl_safety=rd.real("numerics", "cfl_safety", default=0.4,
-                           lo=0.0, hi=1.0, lo_open=True),
-        dt_max=dt_max,
-        overflow_guard=rd.real("numerics", "overflow_guard", default=1e12,
-                               lo=0.0, lo_open=True),
-        g_order=rd.integer("numerics", "g_order", default=1, lo=1, hi=3),
-    )
-    threads = rd.integer("numerics", "threads", default=1, lo=1)
-
+    num = read("numerics")
+    out = read("output")
     return RunConfig(
         grid=grid,
         params=params,
-        ic_spec=ic_spec,
+        ic=ic,
         t_end=t_end,
         observe_every=observe_every,
-        numerics=numerics,
-        threads=threads,
-        out_dir=rd.string("output", "dir", default="out"),
-        write_fields=rd.boolean("output", "fields", default=True),
-        write_svg=rd.boolean("output", "svg", default=True),
+        numerics=Numerics(elliptic_tol=num["elliptic_tol"], dt_max=dt_max,
+                          overflow_guard=num["overflow_guard"]),
+        threads=num["threads"],
+        out_dir=out["dir"],
+        write_fields=out["fields"],
+        write_svg=out["svg"],
         origin=origin,
         sections=copy.deepcopy(sections),
     )
@@ -371,7 +337,7 @@ def build_initial_data(cfg: RunConfig) -> InitialData:
     """Materialize the configured IC preset on the configured grid.  v0
     stays None unless ic.v0_path or (tau > 0) ic.v_value sets it; a run
     then starts at the elliptic equilibrium of u0, which check never solves."""
-    grid, spec, tau = cfg.grid, cfg.ic_spec, cfg.params.tau
+    grid, spec, tau = cfg.grid, cfg.ic, cfg.params.tau
     X, Y = grid.mesh()
     v0 = None
 

@@ -191,7 +191,7 @@ class DiagnosticsRecord:
         return ",".join(f"{getattr(self, f.name):.17g}" for f in fields(DiagnosticsRecord))
 
 
-def make_record(grid, params, state, consts, num, residual: float, dt: float) -> DiagnosticsRecord:
+def make_record(grid, params, state, consts, residual: float, dt: float) -> DiagnosticsRecord:
     u, v, w = state.u, state.v, state.w
     u_pos = np.maximum(u, 0.0)
     grad_v = grid.grad_magnitude(v)
@@ -201,7 +201,7 @@ def make_record(grid, params, state, consts, num, residual: float, dt: float) ->
         l2_u=grid.norm(u, 2),
         linf_u=grid.norm(u, math.inf),
         entropy=entropy(grid, u_pos),
-        g_m=g_functional(grid, u_pos, num.g_order),
+        g_m=g_functional(grid, u_pos, 1),
         grad_v_l4=grid.norm(grad_v, 4),
         linf_grad_v=grid.norm(grad_v, math.inf),
         linf_grad_w=grid.grad_norm(w, math.inf),

@@ -72,10 +72,8 @@ class Numerics:
     """
 
     elliptic_tol: float = 1e-10
-    cfl_safety: float = 0.4
     dt_max: float = 1e-2
     overflow_guard: float = 1e12
-    g_order: int = 1
 
 
 @dataclass
@@ -230,7 +228,8 @@ def _cg_helmholtz(grid: Grid, b: np.ndarray, c0: float, diff: float,
     return x
 
 
-def solve_elliptic_v(grid: Grid, u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def solve_elliptic_v(grid: Grid, u: np.ndarray,
+                     tol: float = Numerics.elliptic_tol) -> np.ndarray:
     """Chemical field of the elliptic limit: (I - Lap) v = u."""
     grid.check_shape(u)
     return _cg_helmholtz(grid, u, 1.0, 1.0, tol)
@@ -255,17 +254,21 @@ def _face_speed(params: ModelParams, vx: np.ndarray, vy: np.ndarray,
     return speed
 
 
-def _dt_from_speed(grid: Grid, speed: float, dt_max: float, safety: float) -> float:
+# Courant number of the transport step at the largest face speed
+CFL_SAFETY = 0.4
+
+
+def _dt_from_speed(grid: Grid, speed: float, dt_max: float) -> float:
     if speed <= 1e-300:
         return dt_max
-    return min(dt_max, safety * min(grid.hx, grid.hy) / speed)
+    return min(dt_max, CFL_SAFETY * min(grid.hx, grid.hy) / speed)
 
 
 def dt_cfl(grid: Grid, params: ModelParams, v: np.ndarray, w: np.ndarray,
-           dt_max: float, safety: float = 0.4) -> float:
-    """Transport stability bound safety * min(h) / max face speed."""
+           dt_max: float) -> float:
+    """Transport stability bound CFL_SAFETY * min(h) / max face speed."""
     speed = _face_speed(params, *grid.face_diff(v), *grid.face_diff(w))
-    return _dt_from_speed(grid, speed, dt_max, safety)
+    return _dt_from_speed(grid, speed, dt_max)
 
 
 def step(grid: Grid, state: State, params: ModelParams, dt: float,
@@ -376,14 +379,14 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
     consts = DerivedConstants.from_ic(grid, ic)
     result = RunResult()
     result.records.append(
-        diagnostics.make_record(grid, params, state, consts, num, residual=0.0, dt=0.0)
+        diagnostics.make_record(grid, params, state, consts, residual=0.0, dt=0.0)
     )
     next_obs = observe_interval
     while state.t < t_end - tiny:
         if state.face_speed is None:
-            dt = dt_cfl(grid, params, state.v, state.w, num.dt_max, num.cfl_safety)
+            dt = dt_cfl(grid, params, state.v, state.w, num.dt_max)
         else:
-            dt = _dt_from_speed(grid, state.face_speed, num.dt_max, num.cfl_safety)
+            dt = _dt_from_speed(grid, state.face_speed, num.dt_max)
         dt = min(dt, t_end - state.t)
         prev = state
         state = step(grid, state, params, dt, num)
@@ -398,7 +401,7 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
                 prev.u, state.u, prev.v, state.v, prev.w, state.w, dt,
             )
             result.records.append(
-                diagnostics.make_record(grid, params, state, consts, num,
+                diagnostics.make_record(grid, params, state, consts,
                                         residual=residual, dt=dt)
             )
             next_obs = observe_interval * (math.floor((state.t + tiny) / observe_interval) + 1)

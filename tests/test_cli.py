@@ -1,8 +1,10 @@
 """Config parsing, initial-condition presets, and the command-line entry."""
 
+import csv
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -12,7 +14,7 @@ import pytest
 from chemohapto import (ConfigError, Grid, cli, initial_state, load_config,
                         solve_elliptic_v, verify)
 from chemohapto.cli import main as cli_main
-from chemohapto.config import build_initial_data, build_run_config
+from chemohapto.config import _SCHEMA, build_initial_data, build_run_config
 from chemohapto.io import read_field, read_series, write_field
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -66,10 +68,18 @@ def test_bundled_config_parses_fully():
     assert cfg.params.tau == 1.0
     assert cfg.params.kinetics.name == "logistic"
     assert cfg.params.kinetics.mu == 1.0
-    assert cfg.ic_spec.preset == "gaussian-bump"
-    assert cfg.ic_spec.mass == 2.0 and cfg.ic_spec.width == 0.12
+    assert cfg.ic.preset == "gaussian-bump"
+    assert cfg.ic.mass == 2.0 and cfg.ic.width == 0.12
     assert cfg.t_end == 2.0 and cfg.observe_every == 0.05
     assert cfg.write_fields and cfg.write_svg
+
+
+def test_readme_key_table_matches_the_schema():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", fh.read(), re.M)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {(sec, key) for sec, keys in _SCHEMA.items() for key in keys}
 
 
 def test_unknown_key_reports_line_number(tmp_path):
@@ -157,6 +167,22 @@ def test_homogeneous_preset(tmp_path):
     assert ic.v0 is None
 
 
+def test_cosine_preset_values(tmp_path, capsys):
+    body = BASE.format(out=tmp_path / "cos").replace(
+        "preset = homogeneous",
+        "preset = cosine-perturbation\nu_base = 2.0\nu_eps = 0.5\nmodes = 2,3"
+    ).replace("nx = 16\nny = 16", "nx = 16\nny = 12\nlx = 2.0\nly = 0.5")
+    ini = write_ini(tmp_path, body)
+    cfg = load_config(ini)
+    X, Y = cfg.grid.mesh()
+    expect = 2.0 + 0.5 * np.cos(2 * np.pi * X / 2.0) * np.cos(3 * np.pi * Y / 0.5)
+    ic = build_initial_data(cfg)
+    np.testing.assert_allclose(ic.u0, expect, rtol=1e-15, atol=0.0)
+    assert np.all(ic.w0 == 0.0)
+    assert cli_main(["check", ini]) == 0
+    assert "case" in capsys.readouterr().out
+
+
 def test_cosine_preset_rejects_negative_dip(tmp_path):
     body = BASE.format(out=tmp_path).replace(
         "preset = homogeneous",
@@ -188,6 +214,32 @@ def test_file_preset_roundtrip(tmp_path):
     ic = build_initial_data(load_config(write_ini(tmp_path, body)))
     np.testing.assert_array_equal(ic.u0, u)
     np.testing.assert_array_equal(ic.w0, w)
+
+
+def test_file_preset_reads_v0_at_positive_tau(tmp_path):
+    g = Grid(16, 16)
+    X, Y = g.mesh()
+    fields = {"u": 1.0 + 0.2 * np.cos(np.pi * X), "w": 0.3 * np.ones(g.shape),
+              "v": 0.5 + 0.1 * np.cos(np.pi * Y)}
+    for name, f in fields.items():
+        write_field(str(tmp_path / f"{name}.field"), g, f)
+    paths = "".join(f"\n{n}0_path = {tmp_path}/{n}.field" for n in fields)
+    body = BASE.format(out=tmp_path).replace("tau = 0.0", "tau = 1.0")
+    ic = build_initial_data(load_config(write_ini(
+        tmp_path, body.replace("preset = homogeneous", "preset = file" + paths))))
+    np.testing.assert_array_equal(ic.v0, fields["v"])
+    no_w = body.replace("preset = homogeneous",
+                        f"preset = file\nu0_path = {tmp_path}/u.field")
+    with pytest.raises(ConfigError, match=r"'file' requires ic\.u0_path and ic\.w0_path"):
+        build_initial_data(load_config(write_ini(tmp_path, no_w)))
+
+
+def test_v_value_sets_v0_only_at_positive_tau(tmp_path):
+    body = BASE.format(out=tmp_path).replace("u_value = 1.0", "u_value = 1.0\nv_value = 0.7")
+    assert build_initial_data(load_config(write_ini(tmp_path, body))).v0 is None
+    parabolic = body.replace("tau = 0.0", "tau = 1.0")
+    v0 = build_initial_data(load_config(write_ini(tmp_path, parabolic))).v0
+    assert v0.shape == (16, 16) and np.all(v0 == 0.7)
 
 
 def test_noise_is_seed_deterministic(tmp_path):
@@ -388,6 +440,29 @@ def test_sweep_single_point_matches_run(tmp_path):
     assert cells[2] == "ok" and "bounded_plateau" in cells
     point = json.load(open(os.path.join(out, "point_0000", "report.json")))
     assert point["run"]["status"] == "ok"
+
+
+def test_sweep_log_axis_is_geometric(tmp_path):
+    out = tmp_path / "log"
+    assert cli_main(["sweep", os.path.join(CONFIGS, "homogeneous-minimal.ini"),
+                     "--axis", "mass=1:8:4:log", "--out", str(out)]) == 0
+    with open(out / "sweep.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # geomspace pins the ratio-2 points to exact doubles
+    assert [float(r["mass"]) for r in rows] == [1.0, 2.0, 4.0, 8.0]
+    assert all(r["error"] == "" for r in rows)
+
+
+def test_sweep_csv_quotes_an_error_with_commas(tmp_path):
+    out = tmp_path / "neg"
+    assert cli_main(["sweep", os.path.join(CONFIGS, "homogeneous-minimal.ini"),
+                     "--axis", "mass=-1:-1:1", "--out", str(out)]) == 0
+    with open(out / "sweep.csv", encoding="utf-8", newline="") as fh:
+        header, row = csv.reader(fh)
+    assert len(header) == len(row) == 10
+    error = dict(zip(header, row))["error"]
+    assert error.startswith("ConfigError: ")
+    assert error.endswith("ic.mass must be in (0, +inf], got -1.0")
 
 
 def test_sweep_mass_transition_hits_blowup(tmp_path):
@@ -662,26 +737,31 @@ def test_threads_below_one_is_rejected(tmp_path, monkeypatch, capsys, command, t
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "check", "sweep"])
-def test_negative_seed_is_rejected(tmp_path, monkeypatch, capsys, command):
-    monkeypatch.setattr(multiprocessing, "Pool", None)      # no worker may be started
-    cfg = os.path.join(CONFIGS, "logistic-tau1.ini")
-    argv = [command, cfg, "--seed", "-1", "--out", str(tmp_path / "o")]
-    if command == "sweep":
-        argv += ["--axis", "chi=0.5:1:2"]
-    assert cli_main(argv) == 2
-    assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
 @pytest.mark.parametrize("axis", ["chi=0:1:abc", "chi=x:1:3", "chi=0:1:2.5",
                                   "chi=nan:1:2", "chi=0:inf:2", "k=1:inf:3:log",
-                                  "chi=0:1:10001", "k=1:3:20001"])
+                                  "chi=0:1:10001", "k=1:3:20001", "chi",
+                                  "mass=0:8:4:log", "mass=1:-8:4:log"])
 def test_malformed_axis_numbers_are_rejected(tmp_path, monkeypatch, capsys, axis):
     monkeypatch.setattr(multiprocessing, "Pool", None)
     cfg = os.path.join(CONFIGS, "homogeneous-minimal.ini")
     assert cli_main(["sweep", cfg, "--axis", axis, "--out", str(tmp_path / "o")]) == 2
     assert f"error: bad --axis {axis!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("axes, message", [
+    ([], "sweep needs at least one --axis"),
+    (["chi=0:1:2", "chi=1:2:2"], "duplicate sweep axes in ['chi', 'chi']"),
+    (["chi=0:1:101", "mass=1:2:100"], "sweep has 10100 points, limit is 10000"),
+], ids=["none", "duplicate", "too-many-points"])
+def test_sweep_axis_set_errors(tmp_path, monkeypatch, capsys, axes, message):
+    monkeypatch.setattr(multiprocessing, "Pool", None)
+    argv = ["sweep", os.path.join(CONFIGS, "homogeneous-minimal.ini"),
+            "--out", str(tmp_path / "o")]
+    for axis in axes:
+        argv += ["--axis", axis]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -751,10 +831,14 @@ def test_sweep_records_a_mass_cap_past_the_bracket_limit(tmp_path):
 @pytest.mark.parametrize("old, new, key", [
     ("[output]", "[numerics]\nelliptic_tol = 1\n\n[output]", "numerics.elliptic_tol"),
     ("dt_max = 5e-3", "dt_max = 1e-300", "time.dt_max"),
-], ids=["elliptic_tol", "dt_max"])
+    ("[output]", "[numerics]\ncfl_safety = 1e-300\n\n[output]", "numerics.cfl_safety"),
+    ("[output]", "[numerics]\ng_order = 1\n\n[output]", "numerics.g_order"),
+], ids=["elliptic_tol", "dt_max", "cfl_safety", "g_order"])
 def test_numerics_limits_are_config_errors(tmp_path, capsys, old, new, key):
     # elliptic_tol >= 1 lets the solve guard accept x = 0; a dt_max below
-    # the time resolution asks for more than 1e12 steps
+    # the time resolution asks for more than 1e12 steps; the Courant number
+    # and the g_m order are constants, not keys, so a config that sets
+    # cfl_safety or g_order fails before any work
     out = tmp_path / "lim"
     ini = write_ini(tmp_path, BASE.format(out=out).replace(old, new))
     with pytest.raises(ConfigError, match=rf"{key}.*line"):

@@ -1,4 +1,5 @@
-"""SVG heatmaps: byte-stable output and non-finite fields."""
+"""Field dumps: rejected malformations.  SVG heatmaps: byte-stable output
+and non-finite fields."""
 
 import hashlib
 
@@ -6,7 +7,24 @@ import numpy as np
 import pytest
 
 from chemohapto import Grid
-from chemohapto.io import field_svg
+from chemohapto.io import field_svg, read_field, write_field
+
+
+@pytest.mark.parametrize("mangle, grid, message", [
+    (lambda b: b[:20], None, r"truncated header \(20 bytes\)"),
+    (lambda b: b"CHFIELD2" + b[8:], None, r"bad magic b'CHFIELD2'"),
+    (lambda b: b[:-8], None, r"payload is 760 bytes, expected 768 for a 12x8 field"),
+    (lambda b: b, Grid(8, 12), r"field is 12x8, grid is 8x12"),
+    (lambda b: b, Grid(12, 8, 1.0, 2.0),
+     r"domain \(1\.0, 1\.5\) does not match grid \(1\.0, 2\.0\)"),
+], ids=["truncated-header", "bad-magic", "payload-size", "shape", "domain"])
+def test_read_field_rejects_malformed_dumps(tmp_path, mangle, grid, message):
+    g = Grid(12, 8, 1.0, 1.5)
+    path = tmp_path / "f.field"
+    write_field(str(path), g, np.arange(96.0).reshape(g.shape))
+    path.write_bytes(mangle(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        read_field(str(path), grid)
 
 
 def _svg_cases():

@@ -199,11 +199,11 @@ def test_carried_face_speed_gives_the_dt_cfl_bound(monkeypatch):
     st = initial_state(g, params, ic, num)
     assert st.face_speed is None
     for _ in range(8):
-        dt = dt_cfl(g, params, st.v, st.w, num.dt_max, num.cfl_safety)
+        dt = dt_cfl(g, params, st.v, st.w, num.dt_max)
         st = step(g, st, params, dt, num)
-        for dt_max, safety in ((1.0, 0.4), (1.0, 0.1), (1e-6, 0.4)):
-            assert (solver._dt_from_speed(g, st.face_speed, dt_max, safety)
-                    == dt_cfl(g, params, st.v, st.w, dt_max, safety))
+        for dt_max in (1.0, 1e-6):
+            assert (solver._dt_from_speed(g, st.face_speed, dt_max)
+                    == dt_cfl(g, params, st.v, st.w, dt_max))
 
     # run computes the bound from the fields only for the initial state
     calls = []
@@ -261,8 +261,8 @@ def test_step_matches_reference_step_bitwise(seed, n, chi, xi, tau, mu, dt):
     assert new.v.tobytes() == v_ref.tobytes()
     assert new.w.tobytes() == w_ref.tobytes()
     assert new.clipped_mass == clipped_ref
-    assert (solver._dt_from_speed(g, new.face_speed, 1.0, 0.4)
-            == dt_cfl(g, params, new.v, new.w, 1.0, 0.4))
+    assert (solver._dt_from_speed(g, new.face_speed, 1.0)
+            == dt_cfl(g, params, new.v, new.w, 1.0))
 
 
 def test_homogeneous_state_is_stationary():
@@ -337,7 +337,7 @@ def test_step_properties_on_random_fields(seed, n, extra, chi, xi, tau, mu, frac
     kin = ZeroKinetics() if mu is None else LogisticKinetics(mu)
     params = ModelParams(chi=chi, xi=xi, tau=tau, kinetics=kin)
     num = Numerics()
-    dt = frac * dt_cfl(g, params, v, w, num.dt_max, num.cfl_safety)
+    dt = frac * dt_cfl(g, params, v, w, num.dt_max)
     new = step(g, solver.State(t=0.0, u=u, v=v, w=w), params, dt, num)
 
     assert np.min(new.u) >= 0.0 and np.min(new.v) >= 0.0 and np.min(new.w) >= 0.0
