@@ -3,9 +3,13 @@
 A parameter set is accepted through one of two gates: with an elliptic
 chemical (tau = 0) any strictly positive extended damping rate suffices;
 otherwise the product of the uncompensated sensitivity (chi - mu_1)^+ and
-the a-priori mass cap must stay below 1 / (2 C^4), where C is the grid
-interpolation constant at (p, q) = (4, 2).  Runs are classified from the
-recorded sup-norm history: early overflow, sustained growth, or plateau.
+the a-priori mass cap must stay below 1 / (2 C^4), where C estimates the
+grid interpolation constant at (p, q) = (4, 2).  The estimate is a lower
+bound: the best ratio over a test family (gn_constant_estimate), not the
+supremum over all fields.  A smaller C gives a larger 1 / (2 C^4), so a
+threshold_inequality verdict is not yet a certificate; that needs an
+upper bound on C.  Runs are classified from the recorded sup-norm
+history: early overflow, sustained growth, or plateau.
 """
 
 from __future__ import annotations

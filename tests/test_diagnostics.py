@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemohapto import (
     Grid,
@@ -23,7 +25,12 @@ from chemohapto import (
     plateau_ratio,
     step,
 )
-from chemohapto.diagnostics import DiagnosticsRecord, _gaussian_bump
+from chemohapto.diagnostics import (
+    _BOUND_MARGIN,
+    DiagnosticsRecord,
+    _anchor_bumps,
+    _gaussian_bump,
+)
 
 
 # ---------------------------------------------------------------- entropy
@@ -284,6 +291,12 @@ GN_GEOMETRIES = (
     (25, 39, 3.0, 2.0),
     (40, 24, 1.0, 0.6),
     (21, 21, 0.4, 0.4),
+    # widths below the cell size: some anchor bumps peak near 2.6e-80, their
+    # powers underflow and they must be normed on the grid, not bounded
+    (21, 76, 50.0, 0.1),
+    # a bump beats the floor, so the pruning runs against a raised best and
+    # the pattern search follows
+    (24, 24, 4.0, 4.0),
 )
 
 
@@ -293,6 +306,51 @@ def test_gn_estimate_matches_unmasked_estimator_bitwise(ref_grid, pqr):
         est = gn_constant_estimate(Grid(*shape), *pqr)
         ref = _ref_gn_constant_estimate(ref_grid(*shape), *pqr)
         assert est.hex() == ref.hex(), (shape, pqr)
+
+
+def _grid_ratio(grid, phi, p, q, r):
+    # the ratio gn_constant_estimate takes of a field it builds
+    delta = 1.0 - q / p
+    num_ = grid.norm(phi, p)
+    if num_ == 0.0:
+        return 0.0
+    nq = grid.norm(phi, q)
+    nr = nq if q == r else grid.norm(phi, r)
+    return num_ / (grid.grad_norm(phi, 2) ** delta * nq ** (1 - delta) + nr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(4, 48), ny=st.integers(4, 48),
+       log_lx=st.floats(-3.0, 3.0), log_ly=st.floats(-3.0, 3.0),
+       pqr=st.sampled_from([(4, 2, 2), (3, 1, 1), (4, 2, 3)]))
+def test_gn_separable_bound_dominates_grid_ratio(ref_grid, nx, ny, log_lx,
+                                                  log_ly, pqr):
+    # a bump marked safe may be skipped, so its grid ratio must not exceed
+    # the widened bound; the estimate stays the unpruned one bit for bit
+    shape = (nx, ny, 10.0 ** log_lx, 10.0 ** log_ly)
+    g = Grid(*shape)
+    for cx, cy, log_sig, bound, safe in _anchor_bumps(g, *pqr):
+        if safe:
+            val = _grid_ratio(g, _gaussian_bump(g, cx, cy, log_sig, 0.0), *pqr)
+            assert val <= bound * (1.0 + _BOUND_MARGIN), (cx, cy, log_sig)
+    est = gn_constant_estimate(g, *pqr)
+    assert est.hex() == _ref_gn_constant_estimate(ref_grid(*shape), *pqr).hex()
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_gn_estimate_skips_every_bump_on_the_unit_square(monkeypatch, n):
+    # the constant's floor 1.0 beats every bump's bound, so only the
+    # constant and the 18 cosine modes are normed on the grid (73 unpruned)
+    calls = []
+    grad_norm = Grid.grad_norm
+
+    def counted(self, f, q):
+        calls.append(q)
+        return grad_norm(self, f, q)
+
+    monkeypatch.setattr(Grid, "grad_norm", counted)
+    assert gn_constant_estimate(Grid(n, n), 4, 2, 2) == 1.0
+    assert len(calls) == 19
 
 
 def test_gn_estimate_bump_witness_pinned():
