@@ -79,13 +79,8 @@ def _fail(msg: str, code: int = 2) -> int:
 
 
 def _apply_cli_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "out", None):
+    if args.out:
         cfg.out_dir = args.out
-    threads = getattr(args, "threads", None)
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError(f"--threads must be an integer >= 1, got {threads}")
-        cfg.threads = threads
     return cfg
 
 
@@ -275,6 +270,8 @@ def _sweep_point(arg) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        return _fail(f"--threads must be an integer >= 1, got {args.threads}")
     try:
         cfg = _apply_cli_overrides(load_config(args.config), args)
         axes = [_parse_axis(a) for a in args.axis]
@@ -300,7 +297,7 @@ def cmd_sweep(args) -> int:
             assignment[name] = value
         jobs.append((idx, sections, cfg.origin, assignment, out_root))
 
-    workers = min(cfg.threads, len(jobs))
+    workers = min(args.threads or 1, len(jobs))
     t0 = time.time()
     if workers > 1:
         # only a parallel sweep forks, so only it loads the process pool; it
@@ -360,16 +357,14 @@ def make_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
+        sp.add_argument("config")
         sp.add_argument("--out", help="output directory (overrides config)")
-        sp.add_argument("--threads", type=int, help="worker count (overrides config)")
 
     sp = sub.add_parser("run", help="integrate one configured run")
-    sp.add_argument("config")
     common(sp)
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("check", help="evaluate the boundedness condition only")
-    sp.add_argument("config")
     common(sp)
     sp.set_defaults(fn=cmd_check)
 
@@ -379,11 +374,12 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("sweep", help="run a Cartesian parameter sweep")
-    sp.add_argument("config")
+    common(sp)
     sp.add_argument("--axis", action="append", default=[],
                     metavar="name=start:stop:steps[:log]",
                     help="sweep axis (repeatable); names: chi, tau, mu, k, mass")
-    common(sp)
+    sp.add_argument("--threads", type=int,
+                    help="worker processes, at most one per point (default 1)")
     sp.set_defaults(fn=cmd_sweep)
     return p
 

@@ -35,9 +35,10 @@ class ConfigError(ValueError):
 
 class _Key(NamedTuple):
     """One config key: its kind, its default when absent, and the values it
-    accepts.  Reals are range-checked against lo and hi (open or closed),
-    integers against lo; a string with choices matches them case-blind.
-    The kinds modes and pairs read "mx,my" integers and "x:y, ..." reals."""
+    accepts.  Reals are range-checked against lo (open or closed) and hi
+    (closed), integers against lo; a string with choices matches them
+    case-blind.  The kinds modes and pairs read "mx,my" integers and
+    "x:y, ..." reals."""
 
     kind: str               # real | integer | boolean | string | modes | pairs
     default: object = None
@@ -45,7 +46,6 @@ class _Key(NamedTuple):
     lo: Optional[float] = None
     hi: Optional[float] = None
     lo_open: bool = False
-    hi_open: bool = False
     choices: Optional[tuple] = None
 
 
@@ -92,11 +92,7 @@ _SCHEMA = {
         "observe_every": _Key("real", 0.0, lo=0.0),
     },
     "numerics": {
-        # at tol >= 1 the solve guard would accept x = 0 for every right side
-        "elliptic_tol": _Key("real", Numerics.elliptic_tol, lo=0.0, hi=1.0,
-                             lo_open=True, hi_open=True),
         "overflow_guard": _Key("real", Numerics.overflow_guard, lo=0.0, lo_open=True),
-        "threads": _Key("integer", 1, lo=1),
     },
     "output": {
         "dir": _Key("string", "out"),
@@ -147,7 +143,6 @@ class RunConfig:
     t_end: float
     observe_every: Optional[float]
     numerics: Numerics
-    threads: int
     out_dir: str
     write_fields: bool
     write_svg: bool
@@ -177,10 +172,9 @@ def _fail(origin: str, text: str, sec: str, key: str, need: str, got) -> ConfigE
 
 def _range_text(spec: _Key) -> str:
     left = "(" if spec.lo_open else "["
-    right = ")" if spec.hi_open else "]"
     a = "-inf" if spec.lo is None else f"{spec.lo:g}"
     b = "+inf" if spec.hi is None else f"{spec.hi:g}"
-    return f"{left}{a}, {b}{right}"
+    return f"{left}{a}, {b}]"
 
 
 def _parse(sections: dict, origin: str, text: str, sec: str, keys=None) -> dict:
@@ -210,7 +204,7 @@ def _parse(sections: dict, origin: str, text: str, sec: str, keys=None) -> dict:
             if not math.isfinite(val):
                 raise bad("must be finite")
             below = spec.lo is not None and (val <= spec.lo if spec.lo_open else val < spec.lo)
-            above = spec.hi is not None and (val >= spec.hi if spec.hi_open else val > spec.hi)
+            above = spec.hi is not None and val > spec.hi
             if below or above:
                 raise bad(f"must be in {_range_text(spec)}", val)
         elif spec.kind == "integer":
@@ -316,9 +310,7 @@ def build_run_config(sections: dict, origin: str = "<memory>", text: str = "") -
         ic=ic,
         t_end=t_end,
         observe_every=observe_every,
-        numerics=Numerics(elliptic_tol=num["elliptic_tol"], dt_max=dt_max,
-                          overflow_guard=num["overflow_guard"]),
-        threads=num["threads"],
+        numerics=Numerics(dt_max=dt_max, overflow_guard=num["overflow_guard"]),
         out_dir=out["dir"],
         write_fields=out["fields"],
         write_svg=out["svg"],

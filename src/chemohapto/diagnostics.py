@@ -15,6 +15,7 @@ the residual measures how closely one split step honors the identity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -444,6 +445,12 @@ def _mp_iter_log(m: int, x):
     return v
 
 
+@functools.lru_cache(maxsize=16)
+def _log_gn_constant(nx: int, ny: int, lx: float, ly: float, q: float, r: float) -> float:
+    # one estimate per grid and orders, however many fields are checked
+    return gn_constant_estimate(Grid(nx, ny, lx, ly), q, r, r)
+
+
 def log_gn_check(
     grid: Grid,
     phi: np.ndarray,
@@ -475,7 +482,7 @@ def log_gn_check(
     if not isinstance(m, (int, np.integer)) or not (1 <= m <= 3):
         raise ValueError(f"log order m must be an integer in [1, 3], got {m}")
 
-    c_hat = gn_constant_estimate(grid, q, r, r)
+    c_hat = _log_gn_constant(grid.nx, grid.ny, grid.Lx, grid.Ly, q, r)
     C1 = 2.0 ** (q - 1.0) * c_hat ** q
     shift = e_tower(m)
 

@@ -123,9 +123,10 @@ def field_svg(grid: Grid, f: np.ndarray, title: str = "") -> str:
     """Self-contained SVG heatmap of one field (inline rects, no deps).
 
     Fields finer than 128 cells per axis are block-averaged first to keep
-    file sizes sane; the data range is printed under the title.  The range
-    covers the finite cells only; non-finite cells are painted red and
-    counted in the range line.
+    file sizes sane; a trailing block that the block size does not fill is
+    the mean of the cells it has.  The data range is printed under the
+    title.  The range covers the finite drawn cells only; non-finite ones
+    are painted red and counted in the range line.
     """
     grid.check_shape(f)
     g = np.asarray(f, dtype=float)
@@ -133,8 +134,11 @@ def field_svg(grid: Grid, f: np.ndarray, title: str = "") -> str:
     sx = max(1, int(math.ceil(nx / 128)))
     sy = max(1, int(math.ceil(ny / 128)))
     if sx > 1 or sy > 1:
-        tx, ty = (nx // sx) * sx, (ny // sy) * sy
-        g = g[:tx, :ty].reshape(tx // sx, sx, ty // sy, sy).mean(axis=(1, 3))
+        # zero-padded to whole blocks: each block sum over its cell count
+        pad = ((0, -nx % sx), (0, -ny % sy))
+        blocks = (-(-nx // sx), sx, -(-ny // sy), sy)
+        g = (np.pad(g, pad).reshape(blocks).sum(axis=(1, 3))
+             / np.pad(np.ones(g.shape), pad).reshape(blocks).sum(axis=(1, 3)))
     gnx, gny = g.shape
     finite = np.isfinite(g)
     values = g[finite]

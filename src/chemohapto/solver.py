@@ -59,19 +59,17 @@ class ModelParams:
             raise ValueError("kinetics must be a Kinetics instance")
 
 
+# relative residual of every solve of a step, or the rounding floor of
+# evaluating it (see _cg_helmholtz) where that is larger: on the unit square
+# the chemical solve's floor passes 1e-10 between 256^2 and 512^2 and is
+# 7e-10 to 2e-9 of ||b|| at 1024^2; the diffusion solve's stays far below
+ELLIPTIC_TOL = 1e-10
+
+
 @dataclass
 class Numerics:
-    """Knobs of the discrete scheme; defaults match the documented contract.
+    """Knobs of the discrete scheme; defaults match the documented contract."""
 
-    elliptic_tol is the relative residual each linear solve must meet.  A
-    value below the rounding floor of evaluating the residual (see
-    _cg_helmholtz) is raised to that floor without a warning.  For the
-    elliptic chemical solve on the unit square the floor passes the
-    default 1e-10 between 256^2 and 512^2 and is 7e-10 to 2e-9 of ||b||
-    at 1024^2; the diffusion solve's floor stays far below it.
-    """
-
-    elliptic_tol: float = 1e-10
     dt_max: float = 1e-2
     overflow_guard: float = 1e12
 
@@ -229,7 +227,7 @@ def _cg_helmholtz(grid: Grid, b: np.ndarray, c0: float, diff: float,
 
 
 def solve_elliptic_v(grid: Grid, u: np.ndarray,
-                     tol: float = Numerics.elliptic_tol) -> np.ndarray:
+                     tol: float = ELLIPTIC_TOL) -> np.ndarray:
     """Chemical field of the elliptic limit: (I - Lap) v = u."""
     grid.check_shape(u)
     return _cg_helmholtz(grid, u, 1.0, 1.0, tol)
@@ -285,11 +283,11 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
     u, v, w = state.u, state.v, state.w
 
     if params.tau == 0.0:
-        v_new = v_frozen = _cg_helmholtz(grid, u, 1.0, 1.0, num.elliptic_tol)
+        v_new = v_frozen = _cg_helmholtz(grid, u, 1.0, 1.0, ELLIPTIC_TOL)
     else:
         # implicit Euler: (tau/dt + 1 - Lap) v_new = (tau/dt) v + u
         v_new = _cg_helmholtz(grid, (params.tau / dt) * v + u, params.tau / dt + 1.0,
-                              1.0, num.elliptic_tol)
+                              1.0, ELLIPTIC_TOL)
         v_frozen = 0.5 * (v + v_new)
     # exact decay w -> w * exp(-dt * v) with v frozen over the step;
     # the max with 0 guards the monotone decrease against solver rounding
@@ -308,7 +306,7 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
     u_star = np.subtract(u, taxis, out=taxis)
     face_speed = _face_speed(params, vx, vy, wx, wy)
     del vx, vy, wx, wy
-    u_dd = _cg_helmholtz(grid, u_star, 1.0, dt, num.elliptic_tol)
+    u_dd = _cg_helmholtz(grid, u_star, 1.0, dt, ELLIPTIC_TOL)
     if params.kinetics.is_zero:
         u_rx = u_dd
     else:
@@ -329,14 +327,13 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
                  clipped_mass=clipped, face_speed=face_speed)
 
 
-def initial_state(grid: Grid, params: ModelParams, ic: InitialData,
-                  num: Numerics = Numerics()) -> State:
+def initial_state(grid: Grid, params: ModelParams, ic: InitialData) -> State:
     """Validated state at t = 0.  The chemical is a copy of ic.v0, or the
     elliptic solve (I - Lap) v = u0 when tau = 0 or v0 is None; a solved v
     is output, not input, so rounding may leave it slightly below zero."""
     ic.validate(grid, params.tau)
     if params.tau == 0.0 or ic.v0 is None:
-        v = solve_elliptic_v(grid, ic.u0, num.elliptic_tol)
+        v = solve_elliptic_v(grid, ic.u0, ELLIPTIC_TOL)
     else:
         v = ic.v0.copy()
     return State(t=0.0, u=ic.u0.copy(), v=v, w=ic.w0.copy())
@@ -375,7 +372,7 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
         raise ValueError(f"observe_interval must be at least {TIME_RESOLUTION:g} * t_end "
                          f"= {tiny:.3g}, got {observe_interval}")
 
-    state = initial_state(grid, params, ic, num)
+    state = initial_state(grid, params, ic)
     consts = DerivedConstants.from_ic(grid, ic)
     result = RunResult()
     result.records.append(

@@ -126,7 +126,7 @@ def identity() -> list:
                                  kinetics=LogisticKinetics(1.0))
             ic = InitialData(u0=u0, w0=w0)
             num = Numerics(dt_max=20.0 * g.hx ** 2)
-            st = initial_state(g, params, ic, num)
+            st = initial_state(g, params, ic)
             dt = num.dt_max
             # sample at the last step: a fixed physical time, clear of the
             # rough-start transient, where the O(dt + h^2) claim is asymptotic

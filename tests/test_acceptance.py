@@ -149,7 +149,7 @@ def test_criterion_04_structural_bounds():
         params = ModelParams(chi=0.5, xi=0.25, tau=tau,
                              kinetics=LogisticKinetics(1.0))
         num = Numerics(dt_max=2e-3)
-        st = initial_state(g, params, ic, num)
+        st = initial_state(g, params, ic)
         w_cap = float(np.max(ic.w0))
         for _ in range(150):
             prev_w = st.w

@@ -259,8 +259,8 @@ def test_parabolic_start_uses_elliptic_signal(tmp_path):
     cfg = load_config(write_ini(tmp_path, body))
     ic = build_initial_data(cfg)
     assert ic.v0 is None          # the equilibrium is solved when a run starts
-    st = initial_state(cfg.grid, cfg.params, ic, cfg.numerics)
-    expect = solve_elliptic_v(cfg.grid, ic.u0, cfg.numerics.elliptic_tol)
+    st = initial_state(cfg.grid, cfg.params, ic)
+    expect = solve_elliptic_v(cfg.grid, ic.u0)
     assert np.array_equal(st.v, expect)
 
 
@@ -655,7 +655,7 @@ def test_keep_freed_buffers_stops_step_page_faults():
     ic = InitialData(u0=u0, w0=w0, v0=u0.copy())
     params = ModelParams(chi=1.0, xi=0.5, tau=1.0, kinetics=LogisticKinetics(1.0))
     num = Numerics()
-    st = initial_state(g, params, ic, num)
+    st = initial_state(g, params, ic)
     for _ in range(10):
         st = step(g, st, params, 1e-4, num)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -732,8 +732,25 @@ def test_threads_below_one_is_rejected(tmp_path, monkeypatch, capsys, command, t
     argv = [command, cfg, "--threads", threads, "--out", str(tmp_path / "o")]
     if command == "sweep":
         argv += ["--axis", "chi=0.5:1:2"]
-    assert cli_main(argv) == 2
-    assert f"--threads must be an integer >= 1, got {threads}" in capsys.readouterr().err
+        assert cli_main(argv) == 2
+        assert f"--threads must be an integer >= 1, got {threads}" in capsys.readouterr().err
+    else:
+        # --threads is a sweep flag: run and check reject it as a usage error
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_threads_is_a_sweep_only_flag(tmp_path, capsys, command):
+    argv = [command, os.path.join(CONFIGS, "homogeneous-minimal.ini"),
+            "--threads", "2", "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -835,10 +852,10 @@ def test_sweep_records_a_mass_cap_past_the_bracket_limit(tmp_path):
     ("[output]", "[numerics]\ng_order = 1\n\n[output]", "numerics.g_order"),
 ], ids=["elliptic_tol", "dt_max", "cfl_safety", "g_order"])
 def test_numerics_limits_are_config_errors(tmp_path, capsys, old, new, key):
-    # elliptic_tol >= 1 lets the solve guard accept x = 0; a dt_max below
-    # the time resolution asks for more than 1e12 steps; the Courant number
-    # and the g_m order are constants, not keys, so a config that sets
-    # cfl_safety or g_order fails before any work
+    # a dt_max below the time resolution asks for more than 1e12 steps; the
+    # solve tolerance, the Courant number and the g_m order are constants,
+    # not keys, so a config that sets elliptic_tol, cfl_safety or g_order
+    # fails before any work
     out = tmp_path / "lim"
     ini = write_ini(tmp_path, BASE.format(out=out).replace(old, new))
     with pytest.raises(ConfigError, match=rf"{key}.*line"):
@@ -847,4 +864,21 @@ def test_numerics_limits_are_config_errors(tmp_path, capsys, old, new, key):
         assert cli_main([command, ini]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["elliptic_tol = 1e-10", "threads = 2"])
+def test_removed_numerics_keys_are_unknown(tmp_path, capsys, line):
+    # the solve tolerance is solver.ELLIPTIC_TOL and the worker count is
+    # sweep's --threads; a config that still sets either names its line
+    text = open(os.path.join(CONFIGS, "logistic-tau1.ini"), encoding="utf-8").read()
+    out = tmp_path / "gone"
+    text = text.replace("[numerics]\n", f"[numerics]\n{line}\n").replace(
+        "dir = out/logistic-tau1", f"dir = {out}")
+    ini = write_ini(tmp_path, text)
+    where = f"unknown key numerics.{line.split(' =')[0]} " \
+            f"(line {text.splitlines().index(line) + 1})"
+    for command in ("check", "run"):
+        assert cli_main([command, ini]) == 2
+        assert where in capsys.readouterr().err
     assert not out.exists()

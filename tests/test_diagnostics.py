@@ -74,7 +74,7 @@ def test_g_functional_oracles():
 
 def _one_step(g, params, ic, dt):
     num = Numerics(dt_max=dt)
-    st0 = initial_state(g, params, ic, num)
+    st0 = initial_state(g, params, ic)
     st1 = step(g, st0, params, dt, num)
     return st0, st1
 
@@ -121,7 +121,7 @@ def test_identity_residual_halves_under_refinement():
                              kinetics=LogisticKinetics(1.0))
         ic = InitialData(u0=u0, w0=w0)
         num = Numerics(dt_max=20.0 * g.hx ** 2)
-        st = initial_state(g, params, ic, num)
+        st = initial_state(g, params, ic)
         last = math.inf
         while st.t < 0.02 - 1e-12:
             prev = st
@@ -390,6 +390,25 @@ def test_log_gn_check_holds_and_reports():
         assert rep.m == m and rep.q == 3.0 and rep.r == 1.0
         assert rep.lam > 1.0 and rep.C > 0 and rep.C_eps > 0
         assert rep.lhs <= rep.rhs
+
+
+def test_verify_loggn_estimates_each_constant_once(monkeypatch):
+    # three grids, each at (3, 1, 1) through log_gn_check and at (4, 2, 2)
+    # directly: six distinct estimates, whatever the number of fields
+    from chemohapto import diagnostics, verify
+    exact = diagnostics.gn_constant_estimate
+    calls = []
+
+    def counting(grid, *orders):
+        calls.append((grid.nx, grid.ny, grid.Lx, grid.Ly) + orders)
+        return exact(grid, *orders)
+
+    monkeypatch.setattr(diagnostics, "gn_constant_estimate", counting)
+    monkeypatch.setattr(verify, "gn_constant_estimate", counting)
+    diagnostics._log_gn_constant.cache_clear()
+    rows = verify.loggn()
+    assert all(row.ok for row in rows)
+    assert len(calls) == 6 and len(set(calls)) == 6
 
 
 def test_log_gn_check_validation():

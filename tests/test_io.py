@@ -2,12 +2,13 @@
 and non-finite fields."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from chemohapto import Grid
-from chemohapto.io import field_svg, read_field, write_field
+from chemohapto.io import _colors, field_svg, read_field, write_field
 
 
 @pytest.mark.parametrize("mangle, grid, message", [
@@ -40,7 +41,8 @@ def _svg_cases():
     g = Grid(8, 4)
     ties = np.array([0.0, 0.125, 0.3125, 0.375, 0.625, 0.8125, 0.875, 1.0] * 4)
     yield "ties", g, ties.reshape(8, 4), "ties"
-    # finer than 128 cells per axis: block-averaged, with a ragged remainder dropped
+    # finer than 128 cells per axis: block-averaged, the ragged last column of
+    # blocks (2 of 3 cells wide) over the cells it has
     g = Grid(300, 260)
     yield "blocked", g, np.random.default_rng(11).random(g.shape), "w"
 
@@ -52,7 +54,8 @@ SVG_SHA256 = {
     "random": "67f24eb6be6be81df7522efdf3476f66e48225ead0a74e9bcca8a25ea20375d6",
     "constant": "514e58fd18c5035ccbf70f13539941641ef6c67e55e861103f81931f4fbfdfdd",
     "ties": "11370c35a7895a75fc3dcd3c647c3f5af8162589ec4e3ca984c9a8476ecc742f",
-    "blocked": "94ef3c097150a4df4a74454e5d6dc8c7f7c6da1ccb6d37422ce886dbc50725eb",
+    # recorded when the ragged last blocks stopped being dropped
+    "blocked": "5e526d7fc8aefdc8ff0a19e9fddac39e0f9c65df269b9d293e93ed36ab1cbd89",
 }
 
 
@@ -90,3 +93,33 @@ def test_field_svg_paints_non_finite_cells():
     everything_bad = field_svg(g, np.full(g.shape, -np.inf))
     assert "range [nan, nan]; 64 non-finite cells in red" in everything_bad
     assert everything_bad.count('fill="#ff0000"') == 64
+
+
+def _fills(svg):
+    # the fill of every drawn cell, in the order the writer draws them
+    cells = re.findall(r'<rect x="[^"]*" y="[^"]*" [^>]*fill="#([0-9a-f]{6})"/>', svg)
+    return [int(c, 16) for c in cells]
+
+
+@pytest.mark.parametrize("shape", [(129, 129), (130, 257)])
+def test_field_svg_averages_partial_trailing_blocks(shape):
+    g = Grid(*shape)
+    f = np.random.default_rng(5).random(g.shape)
+    sx, sy = (-(-n // 128) for n in shape)
+    # every block, a partial trailing one included, is the mean of its cells
+    means = np.array([[f[i:i + sx, j:j + sy].mean() for j in range(0, shape[1], sy)]
+                      for i in range(0, shape[0], sx)])
+    lo, hi = means.min(), means.max()
+    svg = field_svg(g, f)
+    assert f"range [{lo:.6g}, {hi:.6g}]</text>" in svg
+    assert _fills(svg) == _colors((means - lo) / (hi - lo)).ravel().tolist()
+
+    # the cells outside whole blocks (the last row at 129^2, the last two
+    # columns at 130x257) set the top of the range at 5.0, and a nan in the
+    # last cell turns its block red
+    f[shape[0] // sx * sx:, :] = 5.0
+    f[:, shape[1] // sy * sy:] = 5.0
+    f[-1, -1] = np.nan
+    svg = field_svg(g, f)
+    assert "range [" in svg and ", 5]; 1 non-finite cells in red</text>" in svg
+    assert _fills(svg)[-1] == 0xFF0000 and svg.count('fill="#ff0000"') == 1

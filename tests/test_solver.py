@@ -134,6 +134,30 @@ def test_corrupted_spectral_solve_raises(monkeypatch):
         solve_elliptic_v(g, u)
 
 
+def test_guard_catches_a_wrong_operator_at_the_constant_tolerance(monkeypatch):
+    # eigenvalues 1e-6 too large leave a residual near 1e-7 of ||b||, far
+    # above ELLIPTIC_TOL and its rounding floor on this grid
+    g = Grid(32, 24)
+    rng = np.random.default_rng(9)
+    u = rng.random(g.shape) + 0.5
+    params = ModelParams(chi=0.5, xi=0.25, tau=1.0, kinetics=LogisticKinetics(1.0))
+    state = solver.State(t=0.0, u=u, v=rng.random(g.shape), w=np.full(g.shape, 0.5))
+    solve_elliptic_v(g, u)              # the true table passes
+    step(g, state, params, 1e-3)
+    exact = solver._neumann_eigenvalues
+
+    def skewed(*key):
+        lam = exact(*key) * (1.0 + 1e-6)
+        lam.flags.writeable = False
+        return lam
+
+    monkeypatch.setattr(solver, "_neumann_eigenvalues", skewed)
+    with pytest.raises(RuntimeError, match="residual"):
+        solve_elliptic_v(g, u)
+    with pytest.raises(RuntimeError, match="residual"):
+        step(g, state, params, 1e-3)
+
+
 def test_non_finite_solve_input_raises():
     g = Grid(16, 16)
     u = np.ones(g.shape)
@@ -196,7 +220,7 @@ def test_carried_face_speed_gives_the_dt_cfl_bound(monkeypatch):
     ic = bump_ic(g, mass=4.0, sigma=0.08)
     ic = InitialData(u0=ic.u0, w0=0.5 + 0.1 * ic.u0 / ic.u0.max(), v0=0.5 * ic.u0)
     num = Numerics(dt_max=1.0)
-    st = initial_state(g, params, ic, num)
+    st = initial_state(g, params, ic)
     assert st.face_speed is None
     for _ in range(8):
         dt = dt_cfl(g, params, st.v, st.w, num.dt_max)
@@ -217,21 +241,21 @@ def test_carried_face_speed_gives_the_dt_cfl_bound(monkeypatch):
     assert res.steps > 3 and len(calls) == 1
 
 
-def _reference_step(g, state, params, dt, num):
+def _reference_step(g, state, params, dt):
     # the split step spelled out with taxis_divergence, which takes its own
     # face differences
     u, v, w = state.u, state.v, state.w
     if params.tau == 0.0:
-        v_new = solve_elliptic_v(g, u, num.elliptic_tol)
+        v_new = solve_elliptic_v(g, u, solver.ELLIPTIC_TOL)
         v_frozen = v_new
     else:
         v_new = solver._cg_helmholtz(g, (params.tau / dt) * v + u,
-                                     params.tau / dt + 1.0, 1.0, num.elliptic_tol)
+                                     params.tau / dt + 1.0, 1.0, solver.ELLIPTIC_TOL)
         v_frozen = 0.5 * (v + v_new)
     w_new = w * np.exp(-dt * np.maximum(v_frozen, 0.0))
     u_star = u - dt * (params.chi * g.taxis_divergence(u, v_new)
                        + params.xi * g.taxis_divergence(u, w_new))
-    u_dd = solver._cg_helmholtz(g, u_star, 1.0, dt, num.elliptic_tol)
+    u_dd = solver._cg_helmholtz(g, u_star, 1.0, dt, solver.ELLIPTIC_TOL)
     u_rx = u_dd
     if not params.kinetics.is_zero:
         u_rx = u_dd + dt * params.kinetics.f(np.maximum(u_dd, 0.0), w_new)
@@ -256,7 +280,7 @@ def test_step_matches_reference_step_bitwise(seed, n, chi, xi, tau, mu, dt):
     num = Numerics()
     state = solver.State(t=0.0, u=u, v=v, w=w)
     new = step(g, state, params, dt, num)
-    u_ref, v_ref, w_ref, clipped_ref = _reference_step(g, state, params, dt, num)
+    u_ref, v_ref, w_ref, clipped_ref = _reference_step(g, state, params, dt)
     assert new.u.tobytes() == u_ref.tobytes()
     assert new.v.tobytes() == v_ref.tobytes()
     assert new.w.tobytes() == w_ref.tobytes()
@@ -270,7 +294,7 @@ def test_homogeneous_state_is_stationary():
     params = ModelParams(chi=1.0, xi=0.5, tau=0.0, kinetics=ZeroKinetics())
     ic = InitialData(u0=np.full(g.shape, 2.0), w0=np.zeros(g.shape))
     num = Numerics()
-    st = initial_state(g, params, ic, num)
+    st = initial_state(g, params, ic)
     for _ in range(5):
         st = step(g, st, params, 1e-2, num)
     assert np.max(np.abs(st.u - 2.0)) < 1e-13
@@ -282,7 +306,7 @@ def test_w_exact_exponential_for_constant_fields():
     params = ModelParams(chi=0.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics())
     ic = InitialData(u0=np.full(g.shape, 3.0), w0=np.full(g.shape, 0.8))
     num = Numerics()
-    st = initial_state(g, params, ic, num)
+    st = initial_state(g, params, ic)
     st = step(g, st, params, 0.01, num)
     # constant u keeps v = 3 exactly, so w drops by exp(-dt * 3)
     assert np.max(np.abs(st.w - 0.8 * math.exp(-0.03))) < 1e-13
@@ -293,7 +317,7 @@ def test_mass_conserved_without_kinetics():
     params = ModelParams(chi=1.0, xi=0.5, tau=0.0, kinetics=ZeroKinetics())
     ic = bump_ic(g)
     num = Numerics(dt_max=2e-3)
-    st = initial_state(g, params, ic, num)
+    st = initial_state(g, params, ic)
     m0 = g.integrate(st.u)
     for _ in range(50):
         st = step(g, st, params, 2e-3, num)
@@ -306,7 +330,7 @@ def test_positivity_and_w_monotone():
                          kinetics=LogisticKinetics(1.0))
     ic = bump_ic(g, mass=6.0, sigma=0.08)
     num = Numerics(dt_max=1e-3)
-    st = initial_state(g, params, ic, num)
+    st = initial_state(g, params, ic)
     w_prev = st.w.copy()
     for _ in range(40):
         st = step(g, st, params, 1e-3, num)
@@ -365,7 +389,7 @@ def test_tau_positive_signal_lags():
     ic = bump_ic(g, mass=2.0, sigma=0.15, w_level=0.0)
     ic = InitialData(u0=ic.u0, w0=ic.w0, v0=np.zeros(g.shape))
     num = Numerics(dt_max=1e-3)
-    st = initial_state(g, params, ic, num)
+    st = initial_state(g, params, ic)
     v_eq = solve_elliptic_v(g, st.u)
     st1 = step(g, st, params, 1e-3, num)
     assert 0.0 < np.max(st1.v) < np.max(v_eq)
@@ -450,17 +474,16 @@ def test_run_bitwise_deterministic():
 def test_initial_state_signal_source():
     g = Grid(16, 16)
     ic = bump_ic(g, mass=1.0, sigma=0.2)
-    num = Numerics()
     # tau = 0 derives v0 from u0 through the elliptic solve
     p0 = ModelParams(chi=0.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics())
-    st0 = initial_state(g, p0, ic, num)
+    st0 = initial_state(g, p0, ic)
     assert np.max(np.abs(st0.v - solve_elliptic_v(g, ic.u0))) < 1e-12
     # tau > 0 takes the supplied v0 verbatim
     v0 = np.full(g.shape, 0.123)
     ic1 = InitialData(u0=ic.u0, w0=ic.w0, v0=v0)
     p1 = ModelParams(chi=0.0, xi=0.0, tau=2.0, kinetics=ZeroKinetics())
-    st1 = initial_state(g, p1, ic1, num)
+    st1 = initial_state(g, p1, ic1)
     assert np.array_equal(st1.v, v0)
     # tau > 0 without v0 starts at the elliptic equilibrium of u0
-    st2 = initial_state(g, p1, ic, num)
-    assert np.array_equal(st2.v, solve_elliptic_v(g, ic.u0, num.elliptic_tol))
+    st2 = initial_state(g, p1, ic)
+    assert np.array_equal(st2.v, solve_elliptic_v(g, ic.u0))
