@@ -120,10 +120,13 @@ class Grid:
         self.check_shape(u)
         self.check_shape(phi)
         ax, ay = self.face_diff(phi) if faces is None else faces
-        # donor cell: positive face velocity transports from the low side
-        Fx = np.where(ax > 0.0, u[:-1, :], u[1:, :])
+        # donor cell: positive face velocity transports from the low side;
+        # a zero or nan velocity takes the high side
+        Fx = u[1:, :].copy()
+        np.copyto(Fx, u[:-1, :], where=ax > 0.0)
         Fx *= ax
-        Fy = np.where(ay > 0.0, u[:, :-1], u[:, 1:])
+        Fy = u[:, 1:].copy()
+        np.copyto(Fy, u[:, :-1], where=ay > 0.0)
         Fy *= ay
         return self._div(Fx, Fy)
 

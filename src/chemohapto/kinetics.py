@@ -155,6 +155,11 @@ class Kinetics:
         With gamma > 0 a scalar s goes through numpy's scalar pow, which
         differs from the array loop of ** in the last bit for some bases,
         so f(s, w) need not equal f(np.array([s]), w)[0] bit for bit.
+
+        The damping term is evaluated only where s > 0, at max(s, 1e-300).
+        Every other entry (s <= 0 or nan) keeps the growth term as it is,
+        the same bits that subtracting a zero damping would give, -0.0
+        included; an all-zero field runs no damping arithmetic at all.
         """
         s = np.asarray(s, dtype=float)
         w = np.asarray(w, dtype=float)
@@ -164,10 +169,15 @@ class Kinetics:
         else:
             out = np.zeros(np.broadcast(s, w).shape)
         if self.c:
-            safe = np.maximum(s, 1e-300)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                damp = self._damping(safe)
-            out = out - np.where(s > 0.0, damp, 0.0)
+            pos = s > 0.0
+            if pos.all():
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    out = out - self._damping(np.maximum(s, 1e-300))
+            elif pos.any():
+                damp = np.zeros(s.shape)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    damp[pos] = self._damping(np.maximum(s[pos], 1e-300))
+                out = out - damp
         return float(out) if np.ndim(out) == 0 else out
 
     def _f0(self, s: float) -> float:
@@ -494,10 +504,12 @@ def mass_cap(spec: Kinetics, u0_mass: float, area: float) -> float:
     w >= 0 is attained at w = 0, so the cap does not depend on the
     adhesive field.
 
-    The floor matters for sources that are negative for every s > 0 (the
-    iterated-log family with k >= 2 dips to -mu*e_tower(k-1) near s = 0):
-    there the differential bound m' <= area*sup - eta*m caps m by
-    max(m(0), area*sup/eta), which degenerates to the initial mass itself.
+    The floor matters for sources that are negative for every s > 0, as the
+    iterated-log family is for k >= 2: at k = 2, f(s, 0) dips to -mu*e as
+    s -> 0+, and for k >= 3 it falls without bound, f -> -inf as s -> 0+
+    (f(1e-12, 0) = -1.1e14 at k = 3, mu = 1).  There the differential bound
+    m' <= area*sup - eta*m caps m by max(m(0), area*sup/eta), which
+    degenerates to the initial mass itself.
     """
     if u0_mass < 0:
         raise ValueError(f"u0_mass must be nonnegative, got {u0_mass}")

@@ -47,3 +47,28 @@ class _RefGrid(Grid):
 def ref_grid():
     """The Grid subclass with the old kernels, called like Grid."""
     return _RefGrid
+
+
+def _ref_f(kin, s, w):
+    """Kinetics.f verbatim as it stood before it skipped the damping of
+    cells with s <= 0, with self renamed kin; the source must reproduce it
+    bit for bit."""
+    s = np.asarray(s, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if kin.r:
+        bracket = kin.a - kin.lam * s - w if kin.lam else kin.a - w
+        out = (s if kin.r == 1.0 else kin.r * s) * bracket   # 1*s == s
+    else:
+        out = np.zeros(np.broadcast(s, w).shape)
+    if kin.c:
+        safe = np.maximum(s, 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            damp = kin._damping(safe)
+        out = out - np.where(s > 0.0, damp, 0.0)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+@pytest.fixture(scope="session")
+def ref_f():
+    """The old source evaluation, called as ref_f(kinetics, s, w)."""
+    return _ref_f

@@ -181,6 +181,39 @@ def test_taxis_matches_min_max_donor_formula_bitwise():
         assert out.tobytes() == ref.tobytes()
         assert faces[0].tobytes() == ax.tobytes() and faces[1].tobytes() == ay.tobytes()
 
+    # faces that hold +0.0, -0.0 and nan take the high-side cell, as the
+    # np.where pick did; the reference is that pick and _div's accumulation
+    for _ in range(20):
+        u = rng.random(g.shape) * 4.0
+        u[rng.random(g.shape) < 0.3] = 0.0
+        ax, ay = (rng.standard_normal(d.shape) for d in g.face_diff(u))
+        for a in (ax, ay):
+            pick = rng.random(a.shape)
+            a[pick < 0.2] = 0.0
+            a[(0.2 <= pick) & (pick < 0.4)] = -0.0
+            a[(0.4 <= pick) & (pick < 0.5)] = np.nan
+        Fx = np.where(ax > 0.0, u[:-1, :], u[1:, :]) * ax / g.hx
+        Fy = np.where(ay > 0.0, u[:, :-1], u[:, 1:]) * ay / g.hy
+        ref = np.zeros(g.shape)
+        ref[:-1, :] += Fx
+        ref[1:, :] -= Fx
+        ref[:, :-1] += Fy
+        ref[:, 1:] -= Fy
+        faces = (ax.copy(), ay.copy())
+        out = g.taxis_divergence(u, u, faces=faces)
+        assert out.tobytes() == ref.tobytes()
+        assert faces[0].tobytes() == ax.tobytes() and faces[1].tobytes() == ay.tobytes()
+
+    # an inf carrier turns its flux into nan wherever it is the donor of a
+    # zero face, so a finite result shows the high side was picked
+    u = np.ones(g.shape)
+    u[7, 5] = np.inf
+    for zero in (0.0, -0.0):
+        ax, ay = np.ones((g.nx - 1, g.ny)), np.ones((g.nx, g.ny - 1))
+        ax[7, 5] = ay[7, 5] = zero        # faces with u[7, 5] on the low side
+        out = g.taxis_divergence(u, u, faces=(ax, ay))
+        assert np.all(np.isfinite(out))
+
 
 # Bit-identity of the kernels that skip lanes whose result is known, against
 # the verbatim old kernels of the ref_grid fixture (conftest.py).

@@ -495,6 +495,69 @@ def test_threshold_quantities_match_the_closed_forms():
         assert tuple(damping_rate_estimate(kin, r) for r in (1, 2, 3)) == mu
 
 
+# ------------------------------------------------ empty cells skip the damping
+
+# family members that mix the log1p power with log depths, one without a
+# growth term; with PINNED they make up ALL_SOURCES
+MIXED = (
+    Kinetics(r=1.0, a=1.0, c=2.0, gamma=0.5, depths=(1, 3)),
+    Kinetics(r=2.5, a=0.5, lam=1.0, c=1.0, gamma=0.3, depths=(2,)),
+    Kinetics(c=1.5, gamma=0.7, depths=(1, 2)),
+)
+ALL_SOURCES = tuple(kin for kin, *_ in PINNED) + MIXED
+
+_SPECIAL_S = (0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-17, 1e-16,
+              1e-9, 0.5, 1.0, 7.0, 1e8, 1e300, -1.0, math.nan)
+_DENSITY = st.one_of(
+    st.sampled_from(_SPECIAL_S),
+    st.floats(math.log(1e-300), math.log(1e-17)).map(math.exp),   # lost divisor
+    st.floats(0.0, 1e300),
+)
+# levels above a = 1 turn the growth term of a zero density into -0.0
+_LEVEL = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 3.0)), st.floats(0.0, 10.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=st.lists(_DENSITY, min_size=1, max_size=12),
+       w=st.lists(_LEVEL, min_size=1, max_size=12))
+@example(s=[0.0] * 4, w=[3.0, 0.0, 1.0, 0.5])
+@example(s=[5e-324, -0.0, 1e-300, 1e-17], w=[2.0])
+@example(s=[1e-16, 1e-9, 0.5, 7.0], w=[0.5])
+def test_f_matches_the_old_evaluation_bitwise(ref_f, s, w):
+    s, w = np.array(s), np.array(w)
+    same = w if len(w) == len(s) else np.resize(w, s.shape)
+    args = ((s, same), (s, 0.0), (s[:, None], w[None, :]), (s[0], w),
+            (s, w[0]), (np.asarray(s[0]), np.asarray(w[0])), (float(s[0]), float(w[0])))
+    with np.errstate(all="ignore"):
+        for kin in ALL_SOURCES:
+            for a in args:
+                got, want = kin.f(*a), ref_f(kin, *a)
+                assert type(got) is type(want), (kin, a)
+                assert _same_bits(got, want), (kin, a)
+
+
+def test_f_runs_no_damping_on_empty_cells(monkeypatch, ref_f):
+    sizes = []
+    real = Kinetics._damping
+    monkeypatch.setattr(Kinetics, "_damping",
+                        lambda self, safe: sizes.append(np.size(safe)) or real(self, safe))
+    field = np.zeros((96, 96))
+    w = np.full(field.shape, 0.5)
+    damped = [kin for kin in ALL_SOURCES if kin.c]
+    for kin in damped:
+        out = kin.f(field, w)
+        assert _same_bits(out, np.zeros(field.shape))
+    assert sizes == []
+    # a field with a few live cells damps exactly those
+    field[40:43, 50:52] = 0.25
+    field[0, 0] = 5e-324
+    for kin in damped:
+        sizes.clear()
+        out = kin.f(field, w)
+        assert sizes == [7]
+        assert _same_bits(out, ref_f(kin, field, w))
+
+
 # ------------------------------------------- bounded Brent and bracket reuse
 
 

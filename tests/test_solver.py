@@ -1,11 +1,12 @@
 """Time stepper: elliptic solve, CFL, splitting step, full runs."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chemohapto import solver
@@ -13,9 +14,11 @@ from chemohapto import (
     Grid,
     InitialData,
     InitialDataError,
+    IteratedLogKinetics,
     LogisticKinetics,
     ModelParams,
     Numerics,
+    PowerSubLogistic,
     ZeroKinetics,
     compatibility_constant,
     dt_cfl,
@@ -166,6 +169,37 @@ def test_non_finite_solve_input_raises():
         solve_elliptic_v(g, u)
 
 
+@pytest.mark.parametrize("n, c0, diff, tol", [
+    (16, 1.0, 1.0, 1e-10),          # chemical solve at tau = 0: tol sets the target
+    (32, 41.0, 1.0, 1e-10),         # chemical solve at tau > 0
+    (32, 1.0, 2.5e-3, 1e-10),       # diffusion solve
+    (256, 1.0, 1.0, 1e-14),         # the rounding floor sets the target
+])
+def test_missed_target_names_the_larger_of_tol_and_floor(monkeypatch, n, c0, diff, tol):
+    # the floor is only computed once ||r|| misses tol * ||b||; the message
+    # still names max(tol * ||b||, eps * (c0 + diff * lam_max) * ||x||)
+    g = Grid(n, n)
+    b = np.random.default_rng(n).random(g.shape) + 0.5
+    lam = solver._neumann_eigenvalues(g.nx, g.ny, g.hx, g.hy)
+    exact = scipy.fft.idctn
+
+    def corrupted(*a, **kw):
+        return exact(*a, **kw) * (1.0 + 1e-6)
+
+    x = corrupted(scipy.fft.dctn(b, type=2, norm="ortho") / (c0 + diff * lam),
+                  type=2, norm="ortho")
+    floor = np.finfo(float).eps * (c0 + diff * lam.max()) * solver._norm2(x)
+    target = max(tol * solver._norm2(b), floor)
+    assert (floor > tol * solver._norm2(b)) == (n == 256)
+    monkeypatch.setattr(scipy.fft, "idctn", corrupted)
+    with pytest.raises(RuntimeError, match=re.escape(f"> {target:.3e} (tol={tol})")):
+        solver._cg_helmholtz(g, b, c0, diff, tol)
+    monkeypatch.undo()
+    b[3, 5] = np.nan
+    with pytest.raises(RuntimeError, match=re.escape("> nan (tol=")):
+        solver._cg_helmholtz(g, b, c0, diff, tol)
+
+
 def test_tol_below_rounding_floor_is_met_at_the_floor():
     # at 256^2 the residual of (I - Lap) x = u cannot be evaluated below
     # about eps * lam_max * ||x|| ~ 1e-10 ||x||; a tighter tol is accepted
@@ -241,9 +275,9 @@ def test_carried_face_speed_gives_the_dt_cfl_bound(monkeypatch):
     assert res.steps > 3 and len(calls) == 1
 
 
-def _reference_step(g, state, params, dt):
+def _reference_step(g, state, params, dt, ref_f):
     # the split step spelled out with taxis_divergence, which takes its own
-    # face differences
+    # face differences, and the old source evaluation ref_f
     u, v, w = state.u, state.v, state.w
     if params.tau == 0.0:
         v_new = solve_elliptic_v(g, u, solver.ELLIPTIC_TOL)
@@ -258,29 +292,37 @@ def _reference_step(g, state, params, dt):
     u_dd = solver._cg_helmholtz(g, u_star, 1.0, dt, solver.ELLIPTIC_TOL)
     u_rx = u_dd
     if not params.kinetics.is_zero:
-        u_rx = u_dd + dt * params.kinetics.f(np.maximum(u_dd, 0.0), w_new)
+        u_rx = u_dd + dt * ref_f(params.kinetics, np.maximum(u_dd, 0.0), w_new)
     clipped = g.integrate(np.maximum(-u_rx, 0.0))
     return np.maximum(u_rx, 0.0), v_new, w_new, clipped
 
 
-@settings(max_examples=40, deadline=None)
+# damped sources meet zero cells: those u_dd rounds to <= 0 near empty
+# regions (the example has 4 among 456 live ones), and every cell once u is
+# all zero
+STEP_SOURCES = (ZeroKinetics(), LogisticKinetics(1.0), LogisticKinetics(30.0),
+                IteratedLogKinetics(1, 1.0), IteratedLogKinetics(2, 1.0),
+                IteratedLogKinetics(3, 2.5), PowerSubLogistic(1.0, 1.0, 0.5))
+
+
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 20),
        chi=st.floats(0.0, 5.0), xi=st.floats(0.0, 5.0),
-       tau=st.sampled_from([0.0, 0.5, 2.0]), mu=st.sampled_from([None, 1.0, 30.0]),
-       dt=st.floats(1e-5, 1e-2))
-def test_step_matches_reference_step_bitwise(seed, n, chi, xi, tau, mu, dt):
+       tau=st.sampled_from([0.0, 0.5, 2.0]), kin=st.sampled_from(STEP_SOURCES),
+       empty=st.sampled_from([0.2, 0.8, 0.95, 1.0]), dt=st.floats(1e-5, 1e-2))
+@example(seed=0, n=20, chi=1.0, xi=0.5, tau=0.0, kin=STEP_SOURCES[4], empty=0.8, dt=1e-2)
+def test_step_matches_reference_step_bitwise(ref_f, seed, n, chi, xi, tau, kin, empty, dt):
     g = Grid(n, n + 3)
     rng = np.random.default_rng(seed)
     u = rng.random(g.shape) * 3.0
-    u[rng.random(g.shape) < 0.2] = 0.0
+    u[rng.random(g.shape) < empty] = 0.0     # empty = 1.0 clears every cell
     v = rng.random(g.shape)
     w = np.round(rng.random(g.shape), 1)      # flat patches: zero face differences
-    kin = ZeroKinetics() if mu is None else LogisticKinetics(mu)
     params = ModelParams(chi=chi, xi=xi, tau=tau, kinetics=kin)
     num = Numerics()
     state = solver.State(t=0.0, u=u, v=v, w=w)
     new = step(g, state, params, dt, num)
-    u_ref, v_ref, w_ref, clipped_ref = _reference_step(g, state, params, dt)
+    u_ref, v_ref, w_ref, clipped_ref = _reference_step(g, state, params, dt, ref_f)
     assert new.u.tobytes() == u_ref.tobytes()
     assert new.v.tobytes() == v_ref.tobytes()
     assert new.w.tobytes() == w_ref.tobytes()
