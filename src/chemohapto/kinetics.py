@@ -156,10 +156,10 @@ class Kinetics:
         differs from the array loop of ** in the last bit for some bases,
         so f(s, w) need not equal f(np.array([s]), w)[0] bit for bit.
 
-        The damping term is evaluated only where s > 0, at max(s, 1e-300).
-        Every other entry (s <= 0 or nan) keeps the growth term as it is,
-        the same bits that subtracting a zero damping would give, -0.0
-        included; an all-zero field runs no damping arithmetic at all.
+        The damping term is evaluated at max(s, 1e-300) and subtracted only
+        where s > 0; every other entry (s <= 0 or nan) subtracts 0.0, which
+        keeps the growth term's bits, -0.0 included.  When no cell has
+        s > 0 (an extinct field) the damping is not evaluated at all.
         """
         s = np.asarray(s, dtype=float)
         w = np.asarray(w, dtype=float)
@@ -170,14 +170,10 @@ class Kinetics:
             out = np.zeros(np.broadcast(s, w).shape)
         if self.c:
             pos = s > 0.0
-            if pos.all():
+            if pos.any():
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    out = out - self._damping(np.maximum(s, 1e-300))
-            elif pos.any():
-                damp = np.zeros(s.shape)
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    damp[pos] = self._damping(np.maximum(s[pos], 1e-300))
-                out = out - damp
+                    damp = self._damping(np.maximum(s, 1e-300))
+                out = out - np.where(pos, damp, 0.0)
         return float(out) if np.ndim(out) == 0 else out
 
     def _f0(self, s: float) -> float:

@@ -548,13 +548,12 @@ def test_f_runs_no_damping_on_empty_cells(monkeypatch, ref_f):
         out = kin.f(field, w)
         assert _same_bits(out, np.zeros(field.shape))
     assert sizes == []
-    # a field with a few live cells damps exactly those
-    field[40:43, 50:52] = 0.25
+    # one live cell brings back the old evaluation over the whole field
     field[0, 0] = 5e-324
     for kin in damped:
         sizes.clear()
         out = kin.f(field, w)
-        assert sizes == [7]
+        assert sizes == [field.size]
         assert _same_bits(out, ref_f(kin, field, w))
 
 
