@@ -16,6 +16,7 @@ estimate, and the resulting threshold inequality.
 
 from .grid import Grid
 from .kinetics import (
+    TOWER_MAX,
     IteratedLogKinetics,
     Kinetics,
     LogisticKinetics,
@@ -79,7 +80,7 @@ __all__ = [
     "Grid",
     "Kinetics", "ZeroKinetics", "LogisticKinetics", "PowerSubLogistic",
     "LogLogSubLogistic", "IteratedLogKinetics", "make_kinetics",
-    "e_tower", "iter_log", "shifted_log_deriv", "shifted_log_weight",
+    "TOWER_MAX", "e_tower", "iter_log", "shifted_log_deriv", "shifted_log_weight",
     "damping_rate_estimate", "default_schedule", "mass_cap",
     "ModelParams", "Numerics", "InitialData", "InitialDataError",
     "DerivedConstants", "State", "RunResult",

@@ -1,15 +1,18 @@
 """Boundedness-condition evaluation and empirical run classification.
 
 A parameter set is accepted through one of two gates: with an elliptic
-chemical (tau = 0) any strictly positive extended damping rate suffices;
-otherwise the product of the uncompensated sensitivity (chi - mu_1)^+ and
-the a-priori mass cap must stay below 1 / (2 C^4), where C estimates the
-grid interpolation constant at (p, q) = (4, 2).  The estimate is a lower
-bound: the best ratio over a test family (gn_constant_estimate), not the
-supremum over all fields.  A smaller C gives a larger 1 / (2 C^4), so a
-threshold_inequality verdict is not yet a certificate; that needs an
-upper bound on C.  Runs are classified from the recorded sup-norm
-history: early overflow, sustained growth, or plateau.
+chemical (tau = 0) any strictly positive extended damping rate of order
+r = 1 .. R_MAX suffices; otherwise the product of the uncompensated
+sensitivity (chi - mu_1)^+ and the a-priori mass cap must stay below
+1 / (2 C^4), where C estimates the grid interpolation constant at
+(p, q) = (4, 2), with ||phi||_2 as the lower-order term.  R_MAX is
+kinetics.TOWER_MAX (3), the tallest tower a double holds.  The estimate
+is a lower bound: the best ratio over a test family
+(gn_constant_estimate), not the supremum over all fields.  A smaller C
+gives a larger 1 / (2 C^4), so a threshold_inequality verdict is not yet
+a certificate; that needs an upper bound on C.  Runs are classified from
+the recorded sup-norm history: early overflow, sustained growth, or
+plateau.
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ import numpy as np
 
 from .diagnostics import gn_constant_estimate, plateau_ratio
 from .grid import Grid
-from .kinetics import damping_rate_estimate, mass_cap
+from .kinetics import TOWER_MAX, damping_rate_estimate, mass_cap
 from .solver import InitialData, ModelParams, RunResult
 
 MU_TOL = 1e-3
 # highest damping order whose default sample schedule is representable:
-# order r starts above e_tower(r), and e_tower(4) overflows a double
-R_MAX = 3
+# order r starts above e_tower(r)
+R_MAX = TOWER_MAX
 
 CASE_TAU0 = "tau0_damping"
 CASE_THRESHOLD = "threshold_inequality"
@@ -38,7 +41,7 @@ CASE_NONE = "not_satisfied"
 class ThresholdReport:
     """Everything the boundedness condition consumed, plus the verdict."""
 
-    mu_r: list          # estimates for r = 1 .. r_max (math.inf allowed)
+    mu_r: list          # estimates for r = 1 .. R_MAX (math.inf allowed)
     m1: float
     u0_mass: float
     w_max: float
@@ -59,29 +62,21 @@ class ThresholdReport:
         return cls(**d)
 
 
-def check_boundedness(
-    grid: Grid,
-    params: ModelParams,
-    ic: InitialData,
-    r_max: int = R_MAX,
-) -> ThresholdReport:
+def check_boundedness(grid: Grid, params: ModelParams, ic: InitialData) -> ThresholdReport:
     """Evaluate the boundedness condition for the given setup.
 
     Cases are tried in order: tau0_damping first (tau = 0 and some
-    mu_r above MU_TOL for r <= r_max), then the threshold inequality
+    mu_r above MU_TOL for r = 1 .. R_MAX), then the threshold inequality
     (chi - mu_1)^+ * M1 < 1 / (2 C^4); otherwise not_satisfied.
     not_satisfied means "no gate fired", not a blow-up certificate.
-    r_max may not exceed R_MAX = 3.
     """
-    if not isinstance(r_max, (int, np.integer)) or not 1 <= r_max <= R_MAX:
-        raise ValueError(f"r_max must be an integer in [1, {R_MAX}], got {r_max}")
     ic.validate(grid, params.tau)
     kin = params.kinetics
     u0_mass = grid.integrate(ic.u0)
 
-    mu_r = [damping_rate_estimate(kin, r) for r in range(1, r_max + 1)]
+    mu_r = [damping_rate_estimate(kin, r) for r in range(1, R_MAX + 1)]
     m1 = mass_cap(kin, u0_mass, grid.area)
-    cgn = gn_constant_estimate(grid, 4.0, 2.0, 2.0)
+    cgn = gn_constant_estimate(grid, 4.0, 2.0)
     cgn4 = cgn ** 4
 
     mu1 = mu_r[0]

@@ -24,6 +24,7 @@ import numpy as np
 
 from .grid import Grid
 from .kinetics import (
+    TOWER_MAX,
     Kinetics,
     e_tower,
     iter_log,
@@ -45,12 +46,12 @@ def entropy(grid: Grid, u: np.ndarray) -> float:
 
 
 def g_functional(grid: Grid, u: np.ndarray, m: int) -> float:
-    """int (u + E_m) iterlog_m(u + E_m) with E_m = e_tower(m); m <= 3."""
+    """int (u + E_m) iterlog_m(u + E_m) with E_m = e_tower(m); m <= TOWER_MAX."""
     grid.check_shape(u)
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"log order m must be an integer >= 1, got {m}")
-    if m > 3:
-        raise ValueError(f"log order m must be <= 3 (tower headroom), got {m}")
+    if m > TOWER_MAX:
+        raise ValueError(f"log order m must be <= {TOWER_MAX} (tower headroom), got {m}")
     if np.min(u) < 0:
         raise ValueError("g_functional requires a nonnegative field")
     shift = e_tower(m)
@@ -249,7 +250,7 @@ def _gaussian_bump(grid: Grid, cx: float, cy: float, log_sigma: float,
     return phi
 
 
-def _anchor_bumps(grid: Grid, p: float, q: float, r: float) -> list:
+def _anchor_bumps(grid: Grid, p: float, q: float) -> list:
     """(cx, cy, log_sigma, bound, safe) of the 54 anchor bumps of
     gn_constant_estimate, in the order it visits them.
 
@@ -263,14 +264,13 @@ def _anchor_bumps(grid: Grid, p: float, q: float, r: float) -> list:
         max(grid.hx, grid.hy), 0.25 * min(grid.Lx, grid.Ly), 6)]
     # 2 sigma^2 with the sigma that _gaussian_bump rebuilds from log_sigma
     s2 = np.array([2.0 * math.exp(ls) * math.exp(ls) for ls in log_sigs])
-    orders = {p, q, r, 2.0}
 
     def axis(x, L, h):
         # (anchor, width, cell) factors; per (anchor, width): peak, sums, G
         d = (x - np.array([f * L for f in fracs])[:, None]) ** 2
         a = np.exp(-d[:, None, :] / s2[:, None])
         diff = np.diff(a, axis=-1) / h
-        return (a.max(axis=-1), {s: (a ** s).sum(axis=-1) for s in orders},
+        return (a.max(axis=-1), {s: (a ** s).sum(axis=-1) for s in {p, q, 2.0}},
                 (diff * diff).sum(axis=-1))
 
     with np.errstate(all="ignore"):
@@ -282,13 +282,13 @@ def _anchor_bumps(grid: Grid, p: float, q: float, r: float) -> list:
             return fa[:, None, :] * fb[None, :, :]
 
         cell = grid.cell_area
-        sp, sq, sr = (outer(sums_a[s], sums_b[s]) for s in (p, q, r))
+        sp, sq = (outer(sums_a[s], sums_b[s]) for s in (p, q))
         sg = outer(g_a, sums_b[2.0]) + outer(sums_a[2.0], g_b)
         bound = (cell * sp) ** (1.0 / p) / (
             (cell * sg) ** (0.5 * delta) * (cell * sq) ** ((1.0 - delta) / q)
-            + (cell * sr) ** (1.0 / r))
+            + (cell * sq) ** (1.0 / q))
         safe = np.isfinite(bound) & (outer(peak_a, peak_b) >= _BOUND_MIN_PEAK)
-        for s in (sp, sq, sr, sg):
+        for s in (sp, sq, sg):
             for v in (s, cell * s):
                 safe &= (v >= _BOUND_MIN_SUM) & (v < math.inf)
 
@@ -298,13 +298,14 @@ def _anchor_bumps(grid: Grid, p: float, q: float, r: float) -> list:
             for w, ls in enumerate(log_sigs)]
 
 
-def gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
+def gn_constant_estimate(grid: Grid, p: float, q: float) -> float:
     """Certified lower bound for the constant C in
 
-        ||phi||_p <= C (||grad phi||_2^delta ||phi||_q^(1-delta) + ||phi||_r)
+        ||phi||_p <= C (||grad phi||_2^delta ||phi||_q^(1-delta) + ||phi||_q)
 
-    obtained by maximizing the ratio over a deterministic test family:
-    the constant field (exact floor |Omega|^(1/p - 1/r)), low Neumann
+    with the same norm ||phi||_q in the lower-order term, obtained by
+    maximizing the ratio over a deterministic test family:
+    the constant field (exact floor |Omega|^(1/p - 1/q)), low Neumann
     cosine modes with and without offsets, Gaussian bumps swept over nine
     anchor points and a range of widths, and a pattern-search refinement
     of the best bump.  Enlarging the family can only raise the value.
@@ -315,7 +316,7 @@ def gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
 
     Most anchor bumps are never built.  A bump exp(-|x - c|^2 / 2 sigma^2)
     is a(x) b(y), so its ratio factors into 1-D sums (_anchor_bumps):
-    ||phi||_s^s = hx hy sum(a^s) sum(b^s) for s = p, q, r, and
+    ||phi||_s^s = hx hy sum(a^s) sum(b^s) for s = p, q, and
     ||grad phi||_2^2 = hx hy (G_a sum(b^2) + sum(a^2) G_b) with G the sum
     of squared face differences over h.  A bump is skipped when this
     separable ratio times 1 + _BOUND_MARGIN (1e-9) is at most the running
@@ -352,8 +353,6 @@ def gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
     """
     if not (p > q >= 1):
         raise ValueError(f"need p > q >= 1, got p={p}, q={q}")
-    if not r >= 1:
-        raise ValueError(f"need r >= 1, got r={r}")
     delta = _gn_delta(p, q)
 
     def ratio(phi: np.ndarray) -> float:
@@ -361,8 +360,7 @@ def gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
         if num_ == 0.0:
             return 0.0
         nq = grid.norm(phi, q)
-        nr = nq if q == r else grid.norm(phi, r)
-        return num_ / (grid.grad_norm(phi, 2) ** delta * nq ** (1 - delta) + nr)
+        return num_ / (grid.grad_norm(phi, 2) ** delta * nq ** (1 - delta) + nq)
 
     best = ratio(np.ones((grid.nx, grid.ny)))
 
@@ -373,7 +371,7 @@ def gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
             best = max(best, ratio(np.abs(mode + c)))
 
     best_params = None
-    for cx, cy, log_sig, bound, safe in _anchor_bumps(grid, p, q, r):
+    for cx, cy, log_sig, bound, safe in _anchor_bumps(grid, p, q):
         if safe and bound * (1.0 + _BOUND_MARGIN) <= best:
             continue
         val = ratio(_gaussian_bump(grid, cx, cy, log_sig, 0.0))
@@ -421,9 +419,6 @@ class LogGNReport:
     lhs: float
     rhs: object
     m: int
-    q: float
-    r: float
-    eps: float
 
 
 def mp_exp_tower(m: int, x):
@@ -445,44 +440,43 @@ def _mp_iter_log(m: int, x):
     return v
 
 
+# the orders and the weight of the log-type interpolation step that
+# log_gn_check verifies
+LOG_GN_Q = 3.0
+LOG_GN_R = 1.0
+LOG_GN_EPS = 0.1
+
+
 @functools.lru_cache(maxsize=16)
-def _log_gn_constant(nx: int, ny: int, lx: float, ly: float, q: float, r: float) -> float:
-    # one estimate per grid and orders, however many fields are checked
-    return gn_constant_estimate(Grid(nx, ny, lx, ly), q, r, r)
+def _log_gn_constant(nx: int, ny: int, lx: float, ly: float) -> float:
+    # one estimate per grid, however many fields are checked
+    return gn_constant_estimate(Grid(nx, ny, lx, ly), LOG_GN_Q, LOG_GN_R)
 
 
-def log_gn_check(
-    grid: Grid,
-    phi: np.ndarray,
-    m: int,
-    q: float,
-    r: float,
-    eps: float,
-) -> LogGNReport:
+def log_gn_check(grid: Grid, phi: np.ndarray, m: int) -> LogGNReport:
     """Constructive check of the slow-weight interpolation bound
 
         ||phi||_q^q <= eps ||grad phi||_2^(q-r) ||g(phi)||_r^r
                        + C ||phi||_r^q + C_eps
 
-    with g(s) = (s + E_m) iterlog_m(s + E_m).  The constants follow the
-    cutoff recipe: C1 = 2^(q-1) Chat^q from the grid interpolation
-    constant, the threshold lambda is the smallest tower value with
-    2^(2q-r) C1 (lambda / g(lambda))^r < eps, then C = 2^q C1 and
-    C_eps = 2^q (2 lambda)^q |Omega|.
+    with g(s) = (s + E_m) iterlog_m(s + E_m), at the fixed orders and
+    weight (q, r, eps) = (LOG_GN_Q, LOG_GN_R, LOG_GN_EPS) = (3, 1, 0.1)
+    and m in [1, TOWER_MAX].  The constants follow the cutoff recipe:
+    C1 = 2^(q-1) Chat^q from the grid interpolation constant Chat
+    (gn_constant_estimate at (q, r)), the threshold lambda is the smallest
+    tower value with 2^(2q-r) C1 (lambda / g(lambda))^r < eps, then
+    C = 2^q C1 and C_eps = 2^q (2 lambda)^q |Omega|.
     """
     import mpmath as mp
 
     grid.check_shape(phi)
     if np.min(phi) < 0:
         raise ValueError("log_gn_check requires a nonnegative field")
-    if not (q > r >= 1):
-        raise ValueError(f"need q > r >= 1, got q={q}, r={r}")
-    if not (0 < eps):
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not isinstance(m, (int, np.integer)) or not (1 <= m <= 3):
-        raise ValueError(f"log order m must be an integer in [1, 3], got {m}")
+    if not isinstance(m, (int, np.integer)) or not (1 <= m <= TOWER_MAX):
+        raise ValueError(f"log order m must be an integer in [1, {TOWER_MAX}], got {m}")
 
-    c_hat = _log_gn_constant(grid.nx, grid.ny, grid.Lx, grid.Ly, q, r)
+    q, r, eps = LOG_GN_Q, LOG_GN_R, LOG_GN_EPS
+    c_hat = _log_gn_constant(grid.nx, grid.ny, grid.Lx, grid.Ly)
     C1 = 2.0 ** (q - 1.0) * c_hat ** q
     shift = e_tower(m)
 
@@ -512,8 +506,7 @@ def log_gn_check(
         return LogGNReport(
             holds=False, constructed=False, lam=None,
             C=float(2.0 ** q * C1), C_eps=None,
-            lhs=float(grid.norm(phi, q) ** q), rhs=None,
-            m=m, q=q, r=r, eps=eps,
+            lhs=float(grid.norm(phi, q) ** q), rhs=None, m=m,
         )
 
     C = 2.0 ** q * C1
@@ -535,7 +528,4 @@ def log_gn_check(
         lhs=float(lhs),
         rhs=rhs,
         m=m,
-        q=q,
-        r=r,
-        eps=eps,
     )

@@ -17,22 +17,23 @@ import math
 import numpy as np
 
 
+# the tallest tower of exponentials of 1 that is a finite double:
+# e_tower(3) is about 3.81e6, and e_tower(4) = exp(3.81e6) overflows
+TOWER_MAX = 3
+
+
 def e_tower(m: int) -> float:
     """m-fold exponential of 1: e_tower(0) = 1, e_tower(1) = e, ...
 
-    Raises OverflowError beyond the double-precision range; in practice
-    only m <= 3 is finite (e_tower(3) is about 3.81e6).
+    Defined for m <= TOWER_MAX (3); a taller tower raises OverflowError.
     """
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"tower height m must be a nonnegative integer, got {m}")
-    if m > 4:
+    if m > TOWER_MAX:
         raise OverflowError(f"e_tower({m}) exceeds double precision")
     v = 1.0
     for _ in range(m):
-        try:
-            v = math.exp(v)
-        except OverflowError:
-            raise OverflowError(f"e_tower({m}) exceeds double precision") from None
+        v = math.exp(v)
     return v
 
 
@@ -314,8 +315,8 @@ class IteratedLogKinetics(Kinetics):
     def __init__(self, k: int, mu: float):
         if not isinstance(k, (int, np.integer)) or k < 1:
             raise ValueError(f"log depth k must be an integer >= 1, got {k}")
-        if k > 4:
-            raise ValueError(f"log depth k must be <= 4 (tower overflow), got {k}")
+        if k > TOWER_MAX + 1:   # the deepest factor's shift is e_tower(k - 1)
+            raise ValueError(f"log depth k must be <= {TOWER_MAX + 1} (tower overflow), got {k}")
         self.k = int(k)
         self.mu = _positive("damping rate mu", mu)
         super().__init__(r=1.0, a=1.0, c=self.mu, depths=range(1, self.k + 1))
@@ -370,24 +371,27 @@ def _sup_f_plus_eta(spec: Kinetics, eta: float, brackets: dict) -> float:
     all its eta so that f runs once per level.
     """
     s_hi = 1e8
-    while True:
-        if s_hi not in brackets:
-            s_grid = np.geomspace(1e-9, s_hi, 4096)
-            brackets[s_hi] = (s_grid, spec.f(s_grid, 0.0))
-        s_grid, f0 = brackets[s_hi]
-        vals = f0 + eta * s_grid
-        j = int(np.argmax(vals))
-        interior = j < len(s_grid) - 410        # peak clear of the upper edge
-        tail_drops = vals[-1] < vals[j] - 1e-9 * (1.0 + abs(vals[j]))
-        if interior and tail_drops:
-            break
-        s_hi *= 100.0
-        if s_hi > 1e60:
-            # no commas: the message lands in a sweep.csv cell
-            source = " ".join([spec.name] + [f"{k}={v}" for k, v in spec.params().items()])
-            raise ValueError(f"mass cap: no peak of f + eta*s for {source} at "
-                             f"eta = {eta:.6g} within the bracket search; it stops "
-                             f"at s = 1e60")
+    # an extreme source overflows the samples to +-inf and their differences
+    # to nan; the comparisons below already decide on those values
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if s_hi not in brackets:
+                s_grid = np.geomspace(1e-9, s_hi, 4096)
+                brackets[s_hi] = (s_grid, spec.f(s_grid, 0.0))
+            s_grid, f0 = brackets[s_hi]
+            vals = f0 + eta * s_grid
+            j = int(np.argmax(vals))
+            interior = j < len(s_grid) - 410        # peak clear of the upper edge
+            tail_drops = vals[-1] < vals[j] - 1e-9 * (1.0 + abs(vals[j]))
+            if interior and tail_drops:
+                break
+            s_hi *= 100.0
+            if s_hi > 1e60:
+                # no commas: the message lands in a sweep.csv cell
+                source = " ".join([spec.name] + [f"{k}={v}" for k, v in spec.params().items()])
+                raise ValueError(f"mass cap: no peak of f + eta*s for {source} at "
+                                 f"eta = {eta:.6g} within the bracket search; it stops "
+                                 f"at s = 1e60")
     lo = s_grid[max(j - 1, 0)]
     hi = s_grid[min(j + 1, len(s_grid) - 1)]
     _, fun, _ = _bounded_min(lambda t: -(spec._f0(math.exp(t)) + eta * math.exp(t)),
@@ -546,7 +550,7 @@ def default_schedule(r: int) -> np.ndarray:
     up to s = 1e12.
 
     Starts above e_tower(r) so that all iterated logs in the weight are
-    positive with margin; r >= 4 raises OverflowError from e_tower.
+    positive with margin; r > TOWER_MAX raises OverflowError from e_tower.
     """
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise ValueError(f"damping order r must be an integer >= 1, got {r}")
@@ -575,22 +579,25 @@ def damping_rate_estimate(spec: Kinetics, r: int) -> float:
     weight = np.ones_like(s)
     for i in range(1, r + 1):
         weight = weight * iter_log(i, s)
-    vals = -spec.f(s, 0.0) * weight / (s * s)
+    # an extreme source overflows the samples to +-inf and their differences
+    # to nan; the branches below read those as the answer
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = -spec.f(s, 0.0) * weight / (s * s)
 
-    tail = vals[len(vals) // 2:]
-    if np.all(tail == 0.0):
-        return 0.0
-    window = tail[-8:]
-    d = np.diff(window)
-    if np.all(d > 0.0):
-        # a tail converging from below has already flattened out; log-type
-        # divergence keeps gaining a visible fraction per decade
-        rel_growth = (tail[-1] - tail[0]) / max(abs(tail[-1]), 1e-300)
-        if np.max(tail) > _DIVERGENCE_THRESHOLD or rel_growth > 0.01:
-            return math.inf
+        tail = vals[len(vals) // 2:]
+        if np.all(tail == 0.0):
+            return 0.0
+        window = tail[-8:]
+        d = np.diff(window)
+        if np.all(d > 0.0):
+            # a tail converging from below has already flattened out; log-type
+            # divergence keeps gaining a visible fraction per decade
+            rel_growth = (tail[-1] - tail[0]) / max(abs(tail[-1]), 1e-300)
+            if np.max(tail) > _DIVERGENCE_THRESHOLD or rel_growth > 0.01:
+                return math.inf
+            return float(np.min(tail))
+        if np.all(d < 0.0) and tail[-1] < tail[0]:
+            t = 1.0 / iter_log(r + 1, s[len(vals) // 2:])
+            slope, intercept = np.polyfit(t, tail, 1)
+            return float(min(max(intercept, 0.0), np.min(tail)))
         return float(np.min(tail))
-    if np.all(d < 0.0) and tail[-1] < tail[0]:
-        t = 1.0 / iter_log(r + 1, s[len(vals) // 2:])
-        slope, intercept = np.polyfit(t, tail, 1)
-        return float(min(max(intercept, 0.0), np.min(tail)))
-    return float(np.min(tail))

@@ -207,14 +207,14 @@ def loggn() -> list:
             phi = np.abs(1.0 + 0.8 * rng.random() * np.cos(kx * np.pi * X)
                          * np.cos(ky * np.pi * Y) + 0.2 * rng.random((nx, nx)))
             for m in (1, 2):
-                rep = log_gn_check(g, phi, m, 3.0, 1.0, 0.1)
+                rep = log_gn_check(g, phi, m)
                 if not rep.holds:
                     fails += 1
                 else:
                     # decades of slack; the constructed constants are huge
                     margin = float(mp.log10(rep.rhs) - mp.log10(max(rep.lhs, 1e-300)))
                     min_margin = min(min_margin, margin)
-        c = gn_constant_estimate(g, 4, 2, 2)
+        c = gn_constant_estimate(g, 4, 2)
         floor = g.area ** (1.0 / 4.0 - 1.0 / 2.0)
         rows.append(Row(f"log-gn holds nx={nx}", [float(fails), min_margin, c],
                         "n/a", fails == 0 and c >= floor - 1e-12))
@@ -235,7 +235,7 @@ def loggn() -> list:
                 + rng.uniform(0.0, 1.0))
         for m in (1, 2):
             checked += 1
-            if not log_gn_check(g, phi, m, 3.0, 1.0, 0.1).holds:
+            if not log_gn_check(g, phi, m).holds:
                 fails += 1
     rows.append(Row("log-gn seed-2026 fields", [float(fails), float(checked)],
                     "n/a", fails == 0 and checked == 100))

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import math
 import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -831,6 +833,34 @@ def test_mass_cap_past_the_bracket_limit_is_an_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "1e60" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, body, grid, code", [
+    ("logistic", "mu = 1e300", "nx = 8\nny = 8", 0),
+    ("sublog_loglog", "a = 1e300\nb = 0.3", "nx = 8\nny = 8\nlx = 1e100", 2),
+], ids=["logistic-mu1e300", "loglog-a1e300"])
+def test_check_on_extreme_sources_prints_no_warnings(tmp_path, capsys, kind, body,
+                                                     grid, code):
+    # the samples of the damping rates and of the mass cap's bracket overflow
+    # to inf and nan; the estimators read those as their answer, so the
+    # verdict needs no floating-point warning on stderr
+    out = tmp_path / "extreme"
+    ini = write_ini(tmp_path, _with_kinetics(out, kind, body).replace(
+        "nx = 16\nny = 16", grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["check", ini]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        rep = json.loads((out / "report.json").read_text())["threshold"]
+        # every rate diverges, and M1 = u0_mass + |Omega| sup(f + eta s) / eta
+        # at eta = mu is the closed form 1 + 1 (plus the sup's 1e-9 inflation)
+        assert rep["mu_r"] == [math.inf] * 3
+        assert rep["m1"] == 2.000000001 and rep["case"] == "tau0_damping"
+    else:
+        assert err.startswith("error: mass cap") and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_sweep_records_a_mass_cap_past_the_bracket_limit(tmp_path):

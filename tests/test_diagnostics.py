@@ -179,10 +179,10 @@ def test_record_csv_roundtrip():
 
 def test_gn_estimate_at_least_constant_floor():
     g = Grid(64, 64)
-    est = gn_constant_estimate(g, 4, 2, 2)
+    est = gn_constant_estimate(g, 4, 2)
     assert est >= 1.0 - 1e-12          # |Omega|^{1/4 - 1/2} = 1 here
     g2 = Grid(48, 48, 2.0, 2.0)
-    est2 = gn_constant_estimate(g2, 4, 2, 2)
+    est2 = gn_constant_estimate(g2, 4, 2)
     assert est2 >= 4.0 ** (-0.25) - 1e-12
 
 
@@ -190,7 +190,7 @@ def test_gn_estimate_is_a_witness():
     # the returned value must be realized by some field: re-check that the
     # constant field attains exactly the floor on the unit square
     g = Grid(32, 32)
-    est = gn_constant_estimate(g, 4, 2, 2)
+    est = gn_constant_estimate(g, 4, 2)
     f = np.ones(g.shape)
     delta = 1.0 - 2.0 / 4.0
     den = (g.grad_norm(f, 2) ** delta * g.norm(f, 2) ** (1 - delta)
@@ -201,19 +201,19 @@ def test_gn_estimate_is_a_witness():
 def test_gn_estimate_validation():
     g = Grid(16, 16)
     with pytest.raises(ValueError):
-        gn_constant_estimate(g, 2, 2, 2)     # needs p > q
+        gn_constant_estimate(g, 2, 2)     # needs p > q
     with pytest.raises(ValueError):
-        gn_constant_estimate(g, 4, 0.5, 2)   # q >= 1
+        gn_constant_estimate(g, 4, 0.5)   # q >= 1
     # a nan order is rejected, not read as 1.0 (ones ** nan == 1)
-    for p, q, r in ((4, 2, math.nan), (math.nan, 2, 2), (4, math.nan, 2),
-                    (4, 2, 0.5)):
+    for p, q in ((math.nan, 2), (4, math.nan)):
         with pytest.raises(ValueError):
-            gn_constant_estimate(g, p, q, r)
+            gn_constant_estimate(g, p, q)
 
 
 # gn_constant_estimate as it stood before it skipped the lanes that round
 # to +0, run on a grid with the kernels of that time (the ref_grid fixture
-# of conftest.py); the estimator must reproduce it bit for bit.
+# of conftest.py); the estimator must reproduce it bit for bit.  It still
+# takes the lower-order term's order r, and is called with r = q.
 
 
 def _ref_gn_constant_estimate(grid: Grid, p: float, q: float, r: float) -> float:
@@ -300,41 +300,42 @@ GN_GEOMETRIES = (
 )
 
 
-@pytest.mark.parametrize("pqr", [(4, 2, 2), (3, 1, 1), (4, 2, 3)])
-def test_gn_estimate_matches_unmasked_estimator_bitwise(ref_grid, pqr):
+@pytest.mark.parametrize("pq", [(4, 2), (3, 1)])
+def test_gn_estimate_matches_unmasked_estimator_bitwise(ref_grid, pq):
+    p, q = pq
     for shape in GN_GEOMETRIES:
-        est = gn_constant_estimate(Grid(*shape), *pqr)
-        ref = _ref_gn_constant_estimate(ref_grid(*shape), *pqr)
-        assert est.hex() == ref.hex(), (shape, pqr)
+        est = gn_constant_estimate(Grid(*shape), p, q)
+        ref = _ref_gn_constant_estimate(ref_grid(*shape), p, q, q)
+        assert est.hex() == ref.hex(), (shape, pq)
 
 
-def _grid_ratio(grid, phi, p, q, r):
+def _grid_ratio(grid, phi, p, q):
     # the ratio gn_constant_estimate takes of a field it builds
     delta = 1.0 - q / p
     num_ = grid.norm(phi, p)
     if num_ == 0.0:
         return 0.0
     nq = grid.norm(phi, q)
-    nr = nq if q == r else grid.norm(phi, r)
-    return num_ / (grid.grad_norm(phi, 2) ** delta * nq ** (1 - delta) + nr)
+    return num_ / (grid.grad_norm(phi, 2) ** delta * nq ** (1 - delta) + nq)
 
 
 @settings(max_examples=60, deadline=None)
 @given(nx=st.integers(4, 48), ny=st.integers(4, 48),
        log_lx=st.floats(-3.0, 3.0), log_ly=st.floats(-3.0, 3.0),
-       pqr=st.sampled_from([(4, 2, 2), (3, 1, 1), (4, 2, 3)]))
+       pq=st.sampled_from([(4, 2), (3, 1)]))
 def test_gn_separable_bound_dominates_grid_ratio(ref_grid, nx, ny, log_lx,
-                                                  log_ly, pqr):
+                                                  log_ly, pq):
     # a bump marked safe may be skipped, so its grid ratio must not exceed
     # the widened bound; the estimate stays the unpruned one bit for bit
+    p, q = pq
     shape = (nx, ny, 10.0 ** log_lx, 10.0 ** log_ly)
     g = Grid(*shape)
-    for cx, cy, log_sig, bound, safe in _anchor_bumps(g, *pqr):
+    for cx, cy, log_sig, bound, safe in _anchor_bumps(g, p, q):
         if safe:
-            val = _grid_ratio(g, _gaussian_bump(g, cx, cy, log_sig, 0.0), *pqr)
+            val = _grid_ratio(g, _gaussian_bump(g, cx, cy, log_sig, 0.0), p, q)
             assert val <= bound * (1.0 + _BOUND_MARGIN), (cx, cy, log_sig)
-    est = gn_constant_estimate(g, *pqr)
-    assert est.hex() == _ref_gn_constant_estimate(ref_grid(*shape), *pqr).hex()
+    est = gn_constant_estimate(g, p, q)
+    assert est.hex() == _ref_gn_constant_estimate(ref_grid(*shape), p, q, q).hex()
 
 
 @pytest.mark.parametrize("n", [32, 128])
@@ -349,7 +350,7 @@ def test_gn_estimate_skips_every_bump_on_the_unit_square(monkeypatch, n):
         return grad_norm(self, f, q)
 
     monkeypatch.setattr(Grid, "grad_norm", counted)
-    assert gn_constant_estimate(Grid(n, n), 4, 2, 2) == 1.0
+    assert gn_constant_estimate(Grid(n, n), 4, 2) == 1.0
     assert len(calls) == 19
 
 
@@ -358,7 +359,7 @@ def test_gn_estimate_bump_witness_pinned():
     # hide drift in every other member of the family; here a bump beats
     # the floor |Omega|^(1/3 - 1) and the pattern search runs
     g = Grid(64, 32, 2.0, 1.0)
-    est = gn_constant_estimate(g, 3, 1, 1)
+    est = gn_constant_estimate(g, 3, 1)
     assert est == 0.9873703767745873
     assert est > 2.0 ** (1.0 / 3.0 - 1.0) + 0.3
 
@@ -385,15 +386,15 @@ def test_log_gn_check_holds_and_reports():
     X, Y = g.mesh()
     phi = np.abs(1.0 + 0.5 * np.cos(np.pi * X) * np.cos(2 * np.pi * Y))
     for m in (1, 2):
-        rep = log_gn_check(g, phi, m, 3.0, 1.0, 0.1)
+        rep = log_gn_check(g, phi, m)
         assert rep.holds and rep.constructed
-        assert rep.m == m and rep.q == 3.0 and rep.r == 1.0
+        assert rep.m == m
         assert rep.lam > 1.0 and rep.C > 0 and rep.C_eps > 0
         assert rep.lhs <= rep.rhs
 
 
 def test_verify_loggn_estimates_each_constant_once(monkeypatch):
-    # three grids, each at (3, 1, 1) through log_gn_check and at (4, 2, 2)
+    # three grids, each at (3, 1) through log_gn_check and at (4, 2)
     # directly: six distinct estimates, whatever the number of fields
     from chemohapto import diagnostics, verify
     exact = diagnostics.gn_constant_estimate
@@ -415,8 +416,6 @@ def test_log_gn_check_validation():
     g = Grid(16, 16)
     phi = np.ones(g.shape)
     with pytest.raises(ValueError):
-        log_gn_check(g, phi, 1, 1.0, 2.0, 0.1)   # needs q > r
+        log_gn_check(g, phi, 0)   # m in [1, TOWER_MAX]
     with pytest.raises(ValueError):
-        log_gn_check(g, phi, 4, 3.0, 1.0, 0.1)   # m in [1, 3]
-    with pytest.raises(ValueError):
-        log_gn_check(g, -phi, 1, 3.0, 1.0, 0.1)  # phi >= 0
+        log_gn_check(g, -phi, 1)  # phi >= 0

@@ -1,6 +1,7 @@
 """Kinetic source variants, iterated-log helpers, damping rates, mass cap."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from chemohapto import kinetics
 from chemohapto import (
+    TOWER_MAX,
+    Grid,
     IteratedLogKinetics,
     Kinetics,
     LogisticKinetics,
@@ -24,6 +27,7 @@ from chemohapto import (
     shifted_log_deriv,
     shifted_log_weight,
 )
+from chemohapto.diagnostics import g_functional, log_gn_check
 
 
 # ---------------------------------------------------------------- helpers
@@ -41,6 +45,23 @@ def test_e_tower_values():
         e_tower(7)
     with pytest.raises(ValueError):
         e_tower(-1)
+    # one constant bounds every tower; the limit's messages are pinned
+    assert math.isfinite(e_tower(TOWER_MAX))
+    with pytest.raises(OverflowError, match=r"^e_tower\(4\) exceeds double precision$"):
+        e_tower(TOWER_MAX + 1)
+    assert IteratedLogKinetics(TOWER_MAX + 1, 1.0).depths == (1, 2, 3, 4)
+    with pytest.raises(ValueError, match=re.escape(
+            "log depth k must be <= 4 (tower overflow), got 5")):
+        IteratedLogKinetics(TOWER_MAX + 2, 1.0)
+    g = Grid(8, 8)
+    u = np.ones(g.shape)
+    assert math.isfinite(g_functional(g, u, TOWER_MAX))
+    with pytest.raises(ValueError, match=re.escape(
+            "log order m must be <= 3 (tower headroom), got 4")):
+        g_functional(g, u, TOWER_MAX + 1)
+    with pytest.raises(ValueError, match=re.escape(
+            "log order m must be an integer in [1, 3], got 4")):
+        log_gn_check(g, u, TOWER_MAX + 1)
 
 
 def test_iter_log_fixed_points():
