@@ -27,7 +27,6 @@ from .kinetics import (
     default_schedule,
     e_tower,
     iter_log,
-    make_kinetics,
     mass_cap,
     shifted_log_deriv,
     shifted_log_weight,
@@ -79,7 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Grid",
     "Kinetics", "ZeroKinetics", "LogisticKinetics", "PowerSubLogistic",
-    "LogLogSubLogistic", "IteratedLogKinetics", "make_kinetics",
+    "LogLogSubLogistic", "IteratedLogKinetics",
     "TOWER_MAX", "e_tower", "iter_log", "shifted_log_deriv", "shifted_log_weight",
     "damping_rate_estimate", "default_schedule", "mass_cap",
     "ModelParams", "Numerics", "InitialData", "InitialDataError",

@@ -12,7 +12,6 @@ parameter points in parallel.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import itertools
 import math
@@ -37,6 +36,7 @@ from .io import (
     write_field_svg,
     write_report,
     write_series,
+    write_table,
 )
 from .solver import run
 
@@ -325,14 +325,8 @@ def cmd_sweep(args) -> int:
     cols = ["point"] + names + ["status", "case", "satisfied", "label",
                                 "plateau", "peak_linf_u", "final_mass", "error"]
     try:
-        with open(os.path.join(out_root, "sweep.csv"), "w", encoding="utf-8",
-                  newline="") as fh:
-            # quoted where needed: an error text may hold commas
-            table = csv.writer(fh, lineterminator="\n")
-            table.writerow(cols)
-            for row in rows:
-                table.writerow("%.17g" % row[c] if isinstance(row[c], float) else row[c]
-                               for c in cols)
+        write_table(os.path.join(out_root, "sweep.csv"), cols,
+                    ([row[c] for c in cols] for row in rows))
         with open(os.path.join(out_root, "summary.txt"), "w", encoding="utf-8") as fh:
             fh.write(summary + "\n")
     except OSError as exc:

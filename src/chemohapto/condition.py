@@ -2,12 +2,13 @@
 
 A parameter set is accepted through one of two gates: with an elliptic
 chemical (tau = 0) any strictly positive extended damping rate of order
-r = 1 .. R_MAX suffices; otherwise the product of the uncompensated
+r = 1 .. TOWER_MAX suffices; otherwise the product of the uncompensated
 sensitivity (chi - mu_1)^+ and the a-priori mass cap must stay below
 1 / (2 C^4), where C estimates the grid interpolation constant at
-(p, q) = (4, 2), with ||phi||_2 as the lower-order term.  R_MAX is
-kinetics.TOWER_MAX (3), the tallest tower a double holds.  The estimate
-is a lower bound: the best ratio over a test family
+(p, q) = (4, 2), with ||phi||_2 as the lower-order term.  TOWER_MAX
+(kinetics.TOWER_MAX = 3) is the tallest tower a double holds, so it is
+the highest order whose sample schedule, which starts above e_tower(r),
+exists.  The estimate is a lower bound: the best ratio over a test family
 (gn_constant_estimate), not the supremum over all fields.  A smaller C
 gives a larger 1 / (2 C^4), so a threshold_inequality verdict is not yet
 a certificate; that needs an upper bound on C.  Runs are classified from
@@ -28,9 +29,6 @@ from .kinetics import TOWER_MAX, damping_rate_estimate, mass_cap
 from .solver import InitialData, ModelParams, RunResult
 
 MU_TOL = 1e-3
-# highest damping order whose default sample schedule is representable:
-# order r starts above e_tower(r)
-R_MAX = TOWER_MAX
 
 CASE_TAU0 = "tau0_damping"
 CASE_THRESHOLD = "threshold_inequality"
@@ -41,7 +39,7 @@ CASE_NONE = "not_satisfied"
 class ThresholdReport:
     """Everything the boundedness condition consumed, plus the verdict."""
 
-    mu_r: list          # estimates for r = 1 .. R_MAX (math.inf allowed)
+    mu_r: list          # estimates for r = 1 .. TOWER_MAX (math.inf allowed)
     m1: float
     u0_mass: float
     w_max: float
@@ -66,7 +64,7 @@ def check_boundedness(grid: Grid, params: ModelParams, ic: InitialData) -> Thres
     """Evaluate the boundedness condition for the given setup.
 
     Cases are tried in order: tau0_damping first (tau = 0 and some
-    mu_r above MU_TOL for r = 1 .. R_MAX), then the threshold inequality
+    mu_r above MU_TOL for r = 1 .. TOWER_MAX), then the threshold inequality
     (chi - mu_1)^+ * M1 < 1 / (2 C^4); otherwise not_satisfied.
     not_satisfied means "no gate fired", not a blow-up certificate.
     """
@@ -74,7 +72,7 @@ def check_boundedness(grid: Grid, params: ModelParams, ic: InitialData) -> Thres
     kin = params.kinetics
     u0_mass = grid.integrate(ic.u0)
 
-    mu_r = [damping_rate_estimate(kin, r) for r in range(1, R_MAX + 1)]
+    mu_r = [damping_rate_estimate(kin, r) for r in range(1, TOWER_MAX + 1)]
     m1 = mass_cap(kin, u0_mass, grid.area)
     cgn = gn_constant_estimate(grid, 4.0, 2.0)
     cgn4 = cgn ** 4

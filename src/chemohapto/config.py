@@ -25,7 +25,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .grid import Grid
-from .kinetics import _KINETICS_TYPES, make_kinetics
+from .kinetics import _KINETICS_TYPES
 from .solver import TIME_RESOLUTION, InitialData, ModelParams, Numerics
 
 
@@ -267,7 +267,8 @@ def build_run_config(sections: dict, origin: str = "<memory>", text: str = "") -
 
     model = read("model")
     kind = model["kinetics"]
-    names = _KINETICS_TYPES[kind.lower()].PARAMS
+    source = _KINETICS_TYPES[kind.lower()]
+    names = source.PARAMS
     kin_params = read("kinetics", names)
     extra = set(sections.get("kinetics", {})) - set(names)
     if extra:
@@ -277,8 +278,8 @@ def build_run_config(sections: dict, origin: str = "<memory>", text: str = "") -
             f"{_locate(text, 'kinetics', sorted(extra)[0])}"
         )
     try:
-        kinetics = make_kinetics(kind, **kin_params)
-    except (ValueError, OverflowError) as exc:
+        kinetics = source(**kin_params)
+    except ValueError as exc:
         # the parameter the message names as a word ('a' is in 'damping')
         key = next((n for n in names if re.search(rf"\b{n}\b", str(exc))),
                    names[0] if names else None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -57,12 +57,6 @@ def g_functional(grid: Grid, u: np.ndarray, m: int) -> float:
     shift = e_tower(m)
     z = u + shift
     return grid.integrate(z * iter_log(m, z))
-
-
-def _face_means(u: np.ndarray):
-    ux = 0.5 * (u[:-1, :] + u[1:, :])
-    uy = 0.5 * (u[:, :-1] + u[:, 1:])
-    return ux, uy
 
 
 def identity_residual(
@@ -116,7 +110,7 @@ def identity_residual(
         rweight = iter_log(m, um + shift) + (um + shift) * shifted_log_deriv(m, um)
 
     dux, duy = grid.face_diff(um)
-    ux, uy = _face_means(um)
+    ux, uy = grid.face_means(um)
     dissipation = (
         float((diss_weight(ux) * dux ** 2).sum() + (diss_weight(uy) * duy ** 2).sum())
         * grid.cell_area
@@ -184,13 +178,6 @@ class DiagnosticsRecord:
     delta_w_violation_max: float
     clipped_mass: float
     dt: float
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(f.name for f in fields(DiagnosticsRecord))
-
-    def csv_row(self) -> str:
-        return ",".join(f"{getattr(self, f.name):.17g}" for f in fields(DiagnosticsRecord))
 
 
 def make_record(grid, params, state, consts, residual: float, dt: float) -> DiagnosticsRecord:

@@ -27,7 +27,7 @@ class Grid:
     nx, ny : int
         Cell counts per axis, at least 4 each.
     Lx, Ly : float
-        Side lengths, strictly positive.
+        Side lengths, finite and strictly positive.
     """
 
     def __init__(self, nx: int, ny: int, Lx: float = 1.0, Ly: float = 1.0):
@@ -35,8 +35,8 @@ class Grid:
             raise ValueError("nx and ny must be integers")
         if nx < 4 or ny < 4:
             raise ValueError(f"nx and ny must be >= 4, got nx={nx}, ny={ny}")
-        if not (Lx > 0 and Ly > 0):
-            raise ValueError(f"Lx and Ly must be positive, got Lx={Lx}, Ly={Ly}")
+        if not (0 < Lx < math.inf and 0 < Ly < math.inf):
+            raise ValueError(f"Lx and Ly must be finite and positive, got Lx={Lx}, Ly={Ly}")
         self.nx = int(nx)
         self.ny = int(ny)
         self.Lx = float(Lx)
@@ -80,6 +80,11 @@ class Grid:
         dy = f[:, 1:] - f[:, :-1]
         dy /= self.hy
         return dx, dy
+
+    def face_means(self, f: np.ndarray):
+        """Means of the two cells beside each interior face, in face_diff's
+        layout: (nx-1, ny) and (nx, ny-1)."""
+        return 0.5 * (f[:-1, :] + f[1:, :]), 0.5 * (f[:, :-1] + f[:, 1:])
 
     def _div(self, Fx: np.ndarray, Fy: np.ndarray) -> np.ndarray:
         # Divergence of face fluxes with zero flux on boundary faces.  The

@@ -1,18 +1,21 @@
-"""Artifact persistence: series CSV, binary field dumps, SVG heatmaps, reports.
+"""Artifact persistence: CSV tables, binary field dumps, SVG heatmaps, reports.
 
 Field dumps are flat binary with a fixed 32-byte header
 (8-byte ASCII magic, nx and ny as uint32, Lx and Ly as float64, all
-little-endian) followed by the row-major float64 payload.  Series files
-are UTF-8 CSV with a header row and 17-significant-digit floats so that
-values round-trip bit-exactly through text.
+little-endian) followed by the row-major float64 payload.  Both CSV
+tables, a run's series.csv and a sweep's sweep.csv, are UTF-8 with a
+header row and 17-significant-digit floats, so that values round-trip
+bit-exactly through text; write_table writes them.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 import struct
+from dataclasses import fields
 from typing import Iterable, Optional
 
 import numpy as np
@@ -63,12 +66,21 @@ def read_field(path: str, grid: Optional[Grid] = None) -> np.ndarray:
     return f
 
 
+def write_table(path: str, header: list, rows: Iterable) -> None:
+    """Write a CSV table: the header row, then one line per row with floats
+    as %.17g and cells quoted where needed (an error text may hold commas)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        table = csv.writer(fh, lineterminator="\n")
+        table.writerow(header)
+        for row in rows:
+            table.writerow("%.17g" % x if isinstance(x, float) else x for x in row)
+
+
 def write_series(path: str, records: Iterable[DiagnosticsRecord]) -> None:
-    """Write the diagnostics time series as CSV (header + %.17g floats)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(DiagnosticsRecord.csv_header() + "\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
+    """Write the diagnostics time series as a CSV table, one column per
+    DiagnosticsRecord field in field order."""
+    names = [f.name for f in fields(DiagnosticsRecord)]
+    write_table(path, names, ([getattr(rec, n) for n in names] for rec in records))
 
 
 def read_series(path: str) -> dict:

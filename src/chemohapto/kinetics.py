@@ -313,6 +313,8 @@ class IteratedLogKinetics(Kinetics):
     PARAMS = ("k", "mu")
 
     def __init__(self, k: int, mu: float):
+        if isinstance(k, float) and k.is_integer():    # config reads every key as a real
+            k = int(k)
         if not isinstance(k, (int, np.integer)) or k < 1:
             raise ValueError(f"log depth k must be an integer >= 1, got {k}")
         if k > TOWER_MAX + 1:   # the deepest factor's shift is e_tower(k - 1)
@@ -325,30 +327,6 @@ class IteratedLogKinetics(Kinetics):
 _KINETICS_TYPES = {cls.name: cls for cls in (
     ZeroKinetics, LogisticKinetics, PowerSubLogistic, LogLogSubLogistic,
     IteratedLogKinetics)}
-
-
-def make_kinetics(kind: str, **params) -> Kinetics:
-    """Factory used by config parsing; validates the variant name and its
-    parameter names against the class's PARAMS."""
-    key = kind.strip().lower()
-    if key not in _KINETICS_TYPES:
-        raise ValueError(
-            f"unknown kinetics type '{kind}'; choose from {sorted(_KINETICS_TYPES)}"
-        )
-    cls = _KINETICS_TYPES[key]
-    names = cls.PARAMS
-    missing = [n for n in names if n not in params]
-    extra = [n for n in params if n not in names]
-    if missing:
-        raise ValueError(f"kinetics '{key}' requires parameters {names}, missing {missing}")
-    if extra:
-        raise ValueError(f"kinetics '{key}' takes parameters {names}, got extra {extra}")
-    if "k" in params:
-        kf = params["k"]
-        if float(kf) != int(float(kf)):
-            raise ValueError(f"log depth k must be an integer, got {kf}")
-        params = dict(params, k=int(float(kf)))
-    return cls(**params)
 
 
 # ----------------------------------------------------------------------

@@ -122,9 +122,8 @@ def compatibility_constant(grid: Grid, w0: np.ndarray) -> float:
     difference, otherwise no finite A exists and a ValueError is raised.
     """
     floor = 1e-14
-    dx, dy = grid.face_diff(w0)
     ratios = [0.0]
-    for d, wm in ((dx, 0.5 * (w0[:-1, :] + w0[1:, :])), (dy, 0.5 * (w0[:, :-1] + w0[:, 1:]))):
+    for d, wm in zip(grid.face_diff(w0), grid.face_means(w0)):
         g2 = d ** 2
         bad = (wm <= floor) & (g2 > floor)
         if np.any(bad):

@@ -136,6 +136,29 @@ def test_kinetics_range_error_names_b_not_a(tmp_path):
         load_config(write_ini(tmp_path, body))
 
 
+@pytest.mark.parametrize("kind, body, message", [
+    ("gompertz", "mu = 1.0", r"model\.kinetics must be one of \[.*\], got 'gompertz' \(line 6\)"),
+    ("logistic", "", r"missing required key kinetics\.mu \(line 8\)"),
+    ("logistic", "mu = 1.0\na = 2.0",
+     r"kinetics 'logistic' does not take \['kinetics\.a'\] \(line 10\)"),
+    ("iterlog", "k = 2.5\nmu = 1.0",
+     r"kinetics\.k: log depth k must be an integer >= 1, got 2\.5 \(line 9\)"),
+], ids=["unknown-kind", "missing-key", "extra-key", "fractional-k"])
+def test_config_checks_the_source_kind_and_keys(tmp_path, capsys, kind, body, message):
+    ini = write_ini(tmp_path, _with_kinetics(tmp_path, kind, body))
+    with pytest.raises(ConfigError, match=message):
+        load_config(ini)
+    assert cli_main(["check", ini, "--out", str(tmp_path / "chk")]) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
+def test_config_reads_an_integral_real_k_as_an_int(tmp_path):
+    ini = write_ini(tmp_path, _with_kinetics(tmp_path, "iterlog", "k = 2.0\nmu = 1.0"))
+    k = load_config(ini).params.kinetics.k
+    assert type(k) is int and k == 2
+    assert cli_main(["check", ini, "--out", str(tmp_path / "chk")]) == 0
+
+
 def test_modes_format_error(tmp_path):
     body = BASE.format(out=tmp_path).replace(
         "preset = homogeneous", "preset = cosine-perturbation\nmodes = 1:1")

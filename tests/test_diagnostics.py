@@ -1,6 +1,7 @@
 """Functionals, energy-identity residual, interpolation-constant estimates."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from chemohapto.diagnostics import (
     _anchor_bumps,
     _gaussian_bump,
 )
+from chemohapto.io import read_series, write_series
 
 
 # ---------------------------------------------------------------- entropy
@@ -159,19 +161,20 @@ def test_plateau_ratio_split():
     assert plateau_ratio(times, flat) == pytest.approx(1.0)
 
 
-def test_record_csv_roundtrip():
+def test_record_csv_roundtrip(tmp_path):
     rec = DiagnosticsRecord(
         t=0.1, mass=4.0, l2_u=1.5, linf_u=62.13, entropy=-0.25,
         g_m=7.0, grad_v_l4=0.3, linf_grad_v=0.7, linf_grad_w=0.01,
         identity_residual=1e-6, delta_w_violation_max=-2.0,
         clipped_mass=0.0, dt=1e-3)
-    row = rec.csv_row()
-    names = DiagnosticsRecord.csv_header().split(",")
-    vals = [float(tok) for tok in row.split(",")]
-    assert len(vals) == len(names) == 13
+    path = str(tmp_path / "series.csv")
+    write_series(path, [rec])
+    cols = read_series(path)
+    assert list(cols) == [f.name for f in fields(DiagnosticsRecord)]
+    assert len(cols) == 13
     # %.17g keeps doubles bit-exact through text
-    assert vals[names.index("linf_u")] == 62.13
-    assert vals[names.index("identity_residual")] == 1e-6
+    assert cols["linf_u"][0] == 62.13
+    assert cols["identity_residual"][0] == 1e-6
 
 
 # ---------------------------------------------------------------- gn

@@ -33,6 +33,15 @@ def test_constructor_validation():
         Grid(16.5, 16)
 
 
+@pytest.mark.parametrize("side", [math.inf, math.nan, 0.0, -1.0])
+def test_constructor_rejects_a_side_that_is_not_finite_and_positive(side):
+    # an infinite side used to build hx = inf and cell centres at inf
+    for lx, ly in ((side, 1.0), (1.0, side)):
+        with pytest.raises(ValueError, match=(
+                rf"^Lx and Ly must be finite and positive, got Lx={lx}, Ly={ly}$")):
+            Grid(8, 8, lx, ly)
+
+
 def test_shape_check():
     g = Grid(8, 8)
     with pytest.raises(ValueError):

@@ -1,14 +1,17 @@
-"""Field dumps: rejected malformations.  SVG heatmaps: byte-stable output
-and non-finite fields."""
+"""Field dumps: rejected malformations.  Series tables: exact bytes.  SVG
+heatmaps: byte-stable output and non-finite fields."""
 
 import hashlib
+import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from chemohapto import Grid
-from chemohapto.io import _colors, field_svg, read_field, write_field
+from chemohapto.diagnostics import DiagnosticsRecord
+from chemohapto.io import _colors, field_svg, read_field, write_field, write_series
 
 
 @pytest.mark.parametrize("mangle, grid, message", [
@@ -26,6 +29,18 @@ def test_read_field_rejects_malformed_dumps(tmp_path, mangle, grid, message):
     path.write_bytes(mangle(path.read_bytes()))
     with pytest.raises(ValueError, match=message):
         read_field(str(path), grid)
+
+
+def test_series_csv_bytes_keep_special_values(tmp_path):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1]
+    names = [f.name for f in fields(DiagnosticsRecord)]
+    rows = [[specials[(i + j) % len(specials)] for j in range(len(names))]
+            for i in range(len(specials))]
+    path = tmp_path / "series.csv"
+    write_series(str(path), [DiagnosticsRecord(*row) for row in rows])
+    expected = ",".join(names) + "\n" + "".join(
+        ",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def _svg_cases():

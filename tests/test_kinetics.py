@@ -22,7 +22,6 @@ from chemohapto import (
     default_schedule,
     e_tower,
     iter_log,
-    make_kinetics,
     mass_cap,
     shifted_log_deriv,
     shifted_log_weight,
@@ -186,17 +185,13 @@ def test_envelope_bound_all_variants():
         assert np.max(gap) <= 1e-9 * np.maximum(1.0, np.abs(sup))
 
 
-def test_factory():
-    kin = make_kinetics("iterlog", k=2.0, mu=1.5)
-    assert isinstance(kin, IteratedLogKinetics) and kin.k == 2
-    with pytest.raises(ValueError):
-        make_kinetics("iterlog", k=2.5, mu=1.0)
-    with pytest.raises(ValueError):
-        make_kinetics("logistic")                      # missing mu
-    with pytest.raises(ValueError):
-        make_kinetics("logistic", mu=1.0, a=2.0)       # extra a
-    with pytest.raises(ValueError):
-        make_kinetics("gompertz", mu=1.0)
+def test_iterlog_takes_an_integral_real_k():
+    # config reads every key as a real; the class owns the integrality rule
+    kin = IteratedLogKinetics(2.0, 1.5)
+    assert type(kin.k) is int and kin.k == 2 and kin.depths == (1, 2)
+    with pytest.raises(ValueError, match=re.escape(
+            "log depth k must be an integer >= 1, got 2.5")):
+        IteratedLogKinetics(2.5, 1.0)
 
 
 # ---------------------------------------------------------------- mass cap
@@ -314,7 +309,7 @@ def test_named_sources_only_map_onto_the_family():
         assert not {"f", "params", "is_zero"} & set(vars(cls))
         assert isinstance(kin, Kinetics)
         assert list(kin.params()) == list(cls.PARAMS)
-        assert make_kinetics(cls.name, **kin.params()).params() == kin.params()
+        assert cls(**kin.params()).params() == kin.params()
 
 
 def test_family_rejects_negative_growth_rate():
