@@ -89,8 +89,9 @@ def _run_config(cfg: RunConfig, out: str) -> tuple:
     write series.csv, the configured field dumps and heatmaps, and
     report.json into out (created if missing).
 
-    Returns (result, threshold, classification).  A RuntimeError from the
-    solver leaves a solver_error report in out and is re-raised.
+    Returns (result, summary, threshold, classification), where summary is
+    the report's "run" block.  A RuntimeError from the solver leaves a
+    solver_error report in out and is re-raised.
     """
     ic = build_initial_data(cfg)
     threshold = check_boundedness(cfg.grid, cfg.params, ic)
@@ -113,29 +114,30 @@ def _run_config(cfg: RunConfig, out: str) -> tuple:
             write_field_svg(os.path.join(out, f"{name}_final.svg"), cfg.grid, f,
                             title=f"{name}(x, t={result.final.t:.4g})")
     rec = result.records
+    summary = {
+        "status": result.status,
+        "steps": result.steps,
+        "t_final": result.final.t,
+        "diverged_t": result.diverged_t,
+        "records": len(rec),
+        "peak_linf_u": max(r.linf_u for r in rec),
+        "final_mass": rec[-1].mass,
+        "clipped_mass": result.clipped_mass,
+    }
     write_report(report, {
         "config": cfg.origin,
-        "run": {
-            "status": result.status,
-            "steps": result.steps,
-            "t_final": result.final.t,
-            "diverged_t": result.diverged_t,
-            "records": len(rec),
-            "peak_linf_u": max(r.linf_u for r in rec),
-            "final_mass": rec[-1].mass,
-            "clipped_mass": result.clipped_mass,
-        },
+        "run": summary,
         "threshold": threshold.to_dict(),
         "classification": classification.to_dict(),
     })
-    return result, threshold, classification
+    return result, summary, threshold, classification
 
 
 def cmd_run(args) -> int:
     t0 = time.time()
     try:
         cfg = _apply_cli_overrides(load_config(args.config), args)
-        result, threshold, classification = _run_config(cfg, cfg.out_dir)
+        result, _, threshold, classification = _run_config(cfg, cfg.out_dir)
     except RuntimeError as exc:
         return _fail(f"solver failed: {exc}", code=1)
     except (ValueError, OSError) as exc:    # ConfigError, InitialDataError too
@@ -257,13 +259,12 @@ def _sweep_point(arg) -> dict:
     try:
         cfg = build_run_config(sections, origin=origin)
         cfg.write_fields = cfg.write_svg = False
-        result, rep, cls = _run_config(
+        _, summary, rep, cls = _run_config(
             cfg, os.path.join(out_root, f"point_{idx:04d}"))
-        row.update(status=result.status, case=rep.case,
+        row.update(status=summary["status"], case=rep.case,
                    satisfied=str(rep.satisfied), label=cls.label,
-                   plateau=cls.plateau,
-                   peak_linf_u=max(r.linf_u for r in result.records),
-                   final_mass=result.records[-1].mass)
+                   plateau=cls.plateau, peak_linf_u=summary["peak_linf_u"],
+                   final_mass=summary["final_mass"])
     except Exception as exc:   # individual failures must not kill the sweep
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row

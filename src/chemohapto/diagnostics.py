@@ -25,7 +25,6 @@ import numpy as np
 from .grid import Grid
 from .kinetics import (
     TOWER_MAX,
-    Kinetics,
     e_tower,
     iter_log,
     shifted_log_deriv,
@@ -59,21 +58,9 @@ def g_functional(grid: Grid, u: np.ndarray, m: int) -> float:
     return grid.integrate(z * iter_log(m, z))
 
 
-def identity_residual(
-    grid: Grid,
-    chi: float,
-    xi: float,
-    kin: Kinetics,
-    u0: np.ndarray,
-    u1: np.ndarray,
-    v0: np.ndarray,
-    v1: np.ndarray,
-    w0: np.ndarray,
-    w1: np.ndarray,
-    dt: float,
-    m: Optional[int] = None,
-) -> float:
-    """|LHS - RHS| of the energy identity across one performed step.
+def identity_residual(grid: Grid, params, prev, state, m: Optional[int] = None) -> float:
+    """|LHS - RHS| of the energy identity across the performed step from
+    prev to state, whose length is state.dt.
 
     m = None selects the entropy density u log u; m >= 1 selects the
     shifted iterated-log density.  The time derivative is the forward
@@ -81,11 +68,13 @@ def identity_residual(
     midpoint fields, with face-difference quadrature matching the
     operators of the scheme.
     """
+    dt = state.dt
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    u0, u1 = prev.u, state.u
     um = 0.5 * (u0 + u1)
-    vm = 0.5 * (v0 + v1)
-    wm = 0.5 * (w0 + w1)
+    vm = 0.5 * (prev.v + state.v)
+    wm = 0.5 * (prev.w + state.w)
 
     if m is None:
         H0 = entropy(grid, u0)
@@ -117,8 +106,9 @@ def identity_residual(
     )
     lhs = (H1 - H0) / dt + dissipation
 
-    rhs = chi * grid.dirichlet_energy(carrier, vm) + xi * grid.dirichlet_energy(carrier, wm)
-    rhs += grid.integrate(rweight * kin.f(np.maximum(um, 0.0), wm))
+    rhs = (params.chi * grid.dirichlet_energy(carrier, vm)
+           + params.xi * grid.dirichlet_energy(carrier, wm))
+    rhs += grid.integrate(rweight * params.kinetics.f(np.maximum(um, 0.0), wm))
     return abs(lhs - rhs)
 
 
@@ -180,8 +170,11 @@ class DiagnosticsRecord:
     dt: float
 
 
-def make_record(grid, params, state, consts, residual: float, dt: float) -> DiagnosticsRecord:
+def make_record(grid, params, prev, state, consts) -> DiagnosticsRecord:
+    """Row of state; its identity residual is that of the step from prev,
+    and 0.0 for a state no step made (prev None)."""
     u, v, w = state.u, state.v, state.w
+    residual = 0.0 if prev is None else identity_residual(grid, params, prev, state)
     u_pos = np.maximum(u, 0.0)
     grad_v = grid.grad_magnitude(v)
     return DiagnosticsRecord(
@@ -199,7 +192,7 @@ def make_record(grid, params, state, consts, residual: float, dt: float) -> Diag
             grid, w, v, params.tau, consts.w0_max, consts.kappa
         ),
         clipped_mass=state.clipped_mass,
-        dt=dt,
+        dt=state.dt,
     )
 
 

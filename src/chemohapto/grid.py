@@ -27,7 +27,8 @@ class Grid:
     nx, ny : int
         Cell counts per axis, at least 4 each.
     Lx, Ly : float
-        Side lengths, finite and strictly positive.
+        Side lengths, finite and strictly positive, whose products Lx*Ly
+        and hx*hy neither overflow nor underflow to zero.
     """
 
     def __init__(self, nx: int, ny: int, Lx: float = 1.0, Ly: float = 1.0):
@@ -43,6 +44,9 @@ class Grid:
         self.Ly = float(Ly)
         self.hx = self.Lx / self.nx
         self.hy = self.Ly / self.ny
+        if not (0 < self.Lx * self.Ly < math.inf and 0 < self.hx * self.hy):
+            raise ValueError(f"Lx and Ly must give a finite, positive area and cell area, "
+                             f"got Lx={Lx}, Ly={Ly}")
         self.x = (np.arange(self.nx) + 0.5) * self.hx
         self.y = (np.arange(self.ny) + 0.5) * self.hy
 

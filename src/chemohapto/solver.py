@@ -13,8 +13,9 @@ solves in the cosine basis that diagonalizes the Neumann Laplacian, so
 the zero mode (total mass) passes through unchanged; every solve checks
 its residual and raises when it misses the target.  The step takes the
 face differences of the new chemical and matrix fields once, for both
-transport terms and for the largest face speed, which it stores on the
-returned state: the CFL bound of the next step comes from that speed.
+transport terms and for the uncapped CFL bound of the new (v, w), which
+it stores on the returned state with its own length: the next step's dt
+is that bound capped by dt_max and the time left.
 """
 
 from __future__ import annotations
@@ -156,8 +157,10 @@ class State:
     """Trajectory point; status flips to 'diverged' when the sup norm of u
     passes the overflow guard or any field stops being finite.
 
-    face_speed is the largest taxis face speed of (v, w), as dt_cfl
-    computes it; step fills it in, and None means not yet computed.
+    dt is the length of the step that made the state (0.0 at the start).
+    cfl_dt is the transport bound of its (v, w) with no cap, +inf where
+    no face moves; initial_state and step fill it in, and None means not
+    yet computed.
     """
 
     t: float
@@ -166,7 +169,8 @@ class State:
     w: np.ndarray
     status: str = "ok"
     clipped_mass: float = 0.0
-    face_speed: Optional[float] = None
+    dt: float = 0.0
+    cfl_dt: Optional[float] = None
 
 
 # ----------------------------------------------------------------------
@@ -262,17 +266,18 @@ def _face_speed(params: ModelParams, vx: np.ndarray, vy: np.ndarray,
 CFL_SAFETY = 0.4
 
 
-def _dt_from_speed(grid: Grid, speed: float, dt_max: float) -> float:
+def _cfl_bound(grid: Grid, speed: float) -> float:
     if speed <= 1e-300:
-        return dt_max
-    return min(dt_max, CFL_SAFETY * min(grid.hx, grid.hy) / speed)
+        return math.inf
+    return CFL_SAFETY * min(grid.hx, grid.hy) / speed
 
 
 def dt_cfl(grid: Grid, params: ModelParams, v: np.ndarray, w: np.ndarray,
            dt_max: float) -> float:
-    """Transport stability bound CFL_SAFETY * min(h) / max face speed."""
+    """Transport stability bound CFL_SAFETY * min(h) / max face speed,
+    capped by dt_max."""
     speed = _face_speed(params, *grid.face_diff(v), *grid.face_diff(w))
-    return _dt_from_speed(grid, speed, dt_max)
+    return min(dt_max, _cfl_bound(grid, speed))
 
 
 def step(grid: Grid, state: State, params: ModelParams, dt: float,
@@ -280,9 +285,10 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
     """One split step of length dt from a valid state.
 
     Requires dt <= dt_cfl(...) for the positivity-friendly transport;
-    the caller (run) guarantees this.  The returned state carries the
-    mass removed by the terminal clip at zero and the face speed of its
-    (v, w), taken from the face differences the transport already used.
+    the caller (run) guarantees this.  The returned state carries dt, the
+    mass removed by the terminal clip at zero and the uncapped CFL bound
+    of its (v, w), taken from the face differences the transport already
+    used.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -310,7 +316,7 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
              + params.xi * grid.taxis_divergence(u, w_new, faces=(wx, wy)))
     taxis *= dt
     u_star = np.subtract(u, taxis, out=taxis)
-    face_speed = _face_speed(params, vx, vy, wx, wy)
+    cfl_dt = _cfl_bound(grid, _face_speed(params, vx, vy, wx, wy))
     del vx, vy, wx, wy
     u_dd = _cg_helmholtz(grid, u_star, 1.0, dt, ELLIPTIC_TOL)
     if params.kinetics.is_zero:
@@ -330,19 +336,21 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
     ):
         status = "diverged"
     return State(t=state.t + dt, u=u_new, v=v_new, w=w_new, status=status,
-                 clipped_mass=clipped, face_speed=face_speed)
+                 clipped_mass=clipped, dt=dt, cfl_dt=cfl_dt)
 
 
 def initial_state(grid: Grid, params: ModelParams, ic: InitialData) -> State:
-    """Validated state at t = 0.  The chemical is a copy of ic.v0, or the
-    elliptic solve (I - Lap) v = u0 when tau = 0 or v0 is None; a solved v
-    is output, not input, so rounding may leave it slightly below zero."""
+    """Validated state at t = 0, with dt 0.0 and cfl_dt from dt_cfl with no
+    cap.  The chemical is a copy of ic.v0, or the elliptic solve
+    (I - Lap) v = u0 when tau = 0 or v0 is None; a solved v is output, not
+    input, so rounding may leave it slightly below zero."""
     ic.validate(grid, params.tau)
     if params.tau == 0.0 or ic.v0 is None:
         v = solve_elliptic_v(grid, ic.u0, ELLIPTIC_TOL)
     else:
         v = ic.v0.copy()
-    return State(t=0.0, u=ic.u0.copy(), v=v, w=ic.w0.copy())
+    return State(t=0.0, u=ic.u0.copy(), v=v, w=ic.w0.copy(),
+                 cfl_dt=dt_cfl(grid, params, v, ic.w0, math.inf))
 
 
 @dataclass
@@ -362,7 +370,8 @@ TIME_RESOLUTION = 1e-12
 
 def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
         num: Numerics = Numerics(), observe_interval: Optional[float] = None) -> RunResult:
-    """Integrate to t_end with adaptive CFL-bounded steps.
+    """Integrate to t_end with adaptive CFL-bounded steps: each dt is the
+    last state's cfl_dt capped by num.dt_max and the time left.
 
     Diagnostics records are appended at t = 0, then whenever the time
     passes the next observation mark, and at the final time; a diverged
@@ -380,33 +389,15 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
 
     state = initial_state(grid, params, ic)
     consts = DerivedConstants.from_ic(grid, ic)
-    result = RunResult()
-    result.records.append(
-        diagnostics.make_record(grid, params, state, consts, residual=0.0, dt=0.0)
-    )
+    result = RunResult(records=[diagnostics.make_record(grid, params, None, state, consts)])
     next_obs = observe_interval
     while state.t < t_end - tiny:
-        if state.face_speed is None:
-            dt = dt_cfl(grid, params, state.v, state.w, num.dt_max)
-        else:
-            dt = _dt_from_speed(grid, state.face_speed, num.dt_max)
-        dt = min(dt, t_end - state.t)
         prev = state
-        state = step(grid, state, params, dt, num)
+        state = step(grid, prev, params, min(prev.cfl_dt, num.dt_max, t_end - prev.t), num)
         result.steps += 1
         result.clipped_mass += state.clipped_mass
-        observe = state.t >= next_obs - tiny or state.t >= t_end - tiny
-        if state.status != "ok":
-            observe = True
-        if observe:
-            residual = diagnostics.identity_residual(
-                grid, params.chi, params.xi, params.kinetics,
-                prev.u, state.u, prev.v, state.v, prev.w, state.w, dt,
-            )
-            result.records.append(
-                diagnostics.make_record(grid, params, state, consts,
-                                        residual=residual, dt=dt)
-            )
+        if state.status != "ok" or state.t >= min(next_obs, t_end) - tiny:
+            result.records.append(diagnostics.make_record(grid, params, prev, state, consts))
             next_obs = observe_interval * (math.floor((state.t + tiny) / observe_interval) + 1)
         if state.status != "ok":
             result.status = "diverged"

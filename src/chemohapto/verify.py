@@ -127,16 +127,13 @@ def identity() -> list:
             ic = InitialData(u0=u0, w0=w0)
             num = Numerics(dt_max=20.0 * g.hx ** 2)
             st = initial_state(g, params, ic)
-            dt = num.dt_max
             # sample at the last step: a fixed physical time, clear of the
             # rough-start transient, where the O(dt + h^2) claim is asymptotic
             last = math.nan
             while st.t < 0.04 - 1e-12:
                 prev = st
-                st = step(g, st, params, dt, num)
-                last = identity_residual(
-                    g, params.chi, params.xi, params.kinetics,
-                    prev.u, st.u, prev.v, st.v, prev.w, st.w, dt, m=m)
+                st = step(g, st, params, num.dt_max, num)
+                last = identity_residual(g, params, prev, st, m=m)
             errs.append(last)
         ords = orders(errs)
         ok = all(b < a for a, b in zip(errs, errs[1:])) and min(ords) >= 0.9

@@ -467,6 +467,21 @@ def test_sweep_single_point_matches_run(tmp_path):
     assert point["run"]["status"] == "ok"
 
 
+def test_sweep_row_repeats_the_run_block_of_its_report(tmp_path):
+    cfg = os.path.join(CONFIGS, "homogeneous-minimal.ini")
+    out = tmp_path / "sw"
+    assert cli_main(["sweep", cfg, "--axis", "chi=0.5:1:2", "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["point"] for r in rows] == ["0", "1"]
+    for r in rows:
+        run = json.loads((out / f"point_{int(r['point']):04d}" / "report.json")
+                         .read_text())["run"]
+        assert r["status"] == run["status"]
+        for key in ("peak_linf_u", "final_mass"):
+            assert r[key] == "%.17g" % run[key]
+
+
 def test_sweep_log_axis_is_geometric(tmp_path):
     out = tmp_path / "log"
     assert cli_main(["sweep", os.path.join(CONFIGS, "homogeneous-minimal.ini"),
@@ -855,6 +870,21 @@ def test_mass_cap_past_the_bracket_limit_is_an_error(tmp_path, capsys, command):
     assert cli_main([command, _far_peak(tmp_path, out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "1e60" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("side", ["1e200", "1e-200"])
+def test_check_rejects_sides_whose_area_overflows_or_underflows(tmp_path, capsys, side):
+    # at 1e200 check used to exit 0 with u0 mass inf and C_GN nan in its
+    # report; at 1e-200 it failed late, in the mass cap
+    out = tmp_path / "area"
+    ini = write_ini(tmp_path, _with_kinetics(out, "logistic", "mu = 1.0").replace(
+        "tau = 0.0", "tau = 1.0").replace(
+        "nx = 16\nny = 16", f"nx = 8\nny = 8\nlx = {side}\nly = {side}"))
+    assert cli_main(["check", ini]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: Lx and Ly must give a finite, positive area and cell area, "
+                   f"got Lx={float(side)}, Ly={float(side)}\n")
     assert not out.exists()
 
 

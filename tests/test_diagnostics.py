@@ -88,10 +88,19 @@ def test_identity_residual_stationary_state():
     ic = InitialData(u0=np.full(g.shape, 2.0), w0=np.zeros(g.shape))
     st0, st1 = _one_step(g, params, ic, 1e-2)
     for m in (None, 1, 2):
-        r = identity_residual(g, params.chi, params.xi, params.kinetics,
-                              st0.u, st1.u, st0.v, st1.v, st0.w, st1.w,
-                              1e-2, m=m)
+        r = identity_residual(g, params, st0, st1, m=m)
         assert r < 1e-11
+
+
+def test_identity_residual_needs_a_performed_step():
+    # a state no step made has dt = 0, so there is no step to measure
+    g = Grid(8, 8)
+    params = ModelParams(chi=1.0, xi=0.5, tau=0.0, kinetics=ZeroKinetics())
+    st0 = initial_state(g, params, InitialData(u0=np.full(g.shape, 2.0),
+                                               w0=np.zeros(g.shape)))
+    assert st0.dt == 0.0
+    with pytest.raises(ValueError, match="dt must be positive"):
+        identity_residual(g, params, st0, st0)
 
 
 def test_identity_residual_small_on_smooth_run():
@@ -106,9 +115,7 @@ def test_identity_residual_small_on_smooth_run():
     st0, st1 = _one_step(g, params, ic, dt)
     # the first step carries the largest splitting transient of the run
     for m, cap in ((None, 0.5), (1, 0.2), (2, 0.05)):
-        r = identity_residual(g, params.chi, params.xi, params.kinetics,
-                              st0.u, st1.u, st0.v, st1.v, st0.w, st1.w,
-                              dt, m=m)
+        r = identity_residual(g, params, st0, st1, m=m)
         assert 0.0 <= r < cap
 
 
@@ -128,9 +135,7 @@ def test_identity_residual_halves_under_refinement():
         while st.t < 0.02 - 1e-12:
             prev = st
             st = step(g, st, params, num.dt_max, num)
-            last = identity_residual(g, params.chi, params.xi, params.kinetics,
-                                     prev.u, st.u, prev.v, st.v, prev.w, st.w,
-                                     num.dt_max, m=None)
+            last = identity_residual(g, params, prev, st, m=None)
         errs.append(last)
     assert errs[1] < 0.5 * errs[0]
 

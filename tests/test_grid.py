@@ -1,6 +1,7 @@
 """Grid geometry and discrete-calculus kernels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,16 @@ def test_constructor_rejects_a_side_that_is_not_finite_and_positive(side):
         with pytest.raises(ValueError, match=(
                 rf"^Lx and Ly must be finite and positive, got Lx={lx}, Ly={ly}$")):
             Grid(8, 8, lx, ly)
+
+
+@pytest.mark.parametrize("side", [1e200, 1e-200])
+def test_constructor_rejects_sides_whose_area_overflows_or_underflows(side):
+    # each side is finite and positive, but Lx*Ly is inf (or 0): every
+    # integral over the domain, and the condition check with it, was inf or nan
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"Lx and Ly must give a finite, positive area and cell area, "
+            f"got Lx={side}, Ly={side}") + "$"):
+        Grid(8, 8, side, side)
 
 
 def test_shape_check():

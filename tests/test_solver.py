@@ -22,6 +22,7 @@ from chemohapto import (
     ZeroKinetics,
     compatibility_constant,
     dt_cfl,
+    identity_residual,
     initial_state,
     run,
     solve_elliptic_v,
@@ -248,20 +249,21 @@ def test_dt_cfl_formula():
     assert dt_cfl(g, params, flat, flat, dt_max=0.125) == 0.125
 
 
-def test_carried_face_speed_gives_the_dt_cfl_bound(monkeypatch):
+def test_carried_cfl_bound_gives_the_dt_cfl_bound(monkeypatch):
     g = Grid(32, 32)
     params = ModelParams(chi=1.5, xi=0.75, tau=1.0, kinetics=LogisticKinetics(1.0))
     ic = bump_ic(g, mass=4.0, sigma=0.08)
     ic = InitialData(u0=ic.u0, w0=0.5 + 0.1 * ic.u0 / ic.u0.max(), v0=0.5 * ic.u0)
     num = Numerics(dt_max=1.0)
     st = initial_state(g, params, ic)
-    assert st.face_speed is None
+    assert st.dt == 0.0
+    assert st.cfl_dt == dt_cfl(g, params, st.v, st.w, math.inf)
     for _ in range(8):
         dt = dt_cfl(g, params, st.v, st.w, num.dt_max)
         st = step(g, st, params, dt, num)
+        assert st.dt == dt
         for dt_max in (1.0, 1e-6):
-            assert (solver._dt_from_speed(g, st.face_speed, dt_max)
-                    == dt_cfl(g, params, st.v, st.w, dt_max))
+            assert min(st.cfl_dt, dt_max) == dt_cfl(g, params, st.v, st.w, dt_max)
 
     # run computes the bound from the fields only for the initial state
     calls = []
@@ -273,6 +275,25 @@ def test_carried_face_speed_gives_the_dt_cfl_bound(monkeypatch):
     monkeypatch.setattr(solver, "dt_cfl", counting_dt_cfl)
     res = run(g, params, ic, t_end=0.01, num=Numerics(dt_max=1e-2))
     assert res.steps > 3 and len(calls) == 1
+
+
+def test_run_records_the_cfl_limited_dt_of_each_step():
+    g = Grid(32, 32)
+    params = ModelParams(chi=1.5, xi=0.75, tau=0.0, kinetics=LogisticKinetics(1.0))
+    base = bump_ic(g, mass=4.0, sigma=0.08)
+    ic = InitialData(u0=base.u0, w0=0.5 + 0.1 * base.u0 / base.u0.max())
+    num = Numerics(dt_max=1e-2)
+    st0 = initial_state(g, params, ic)
+    dt0 = dt_cfl(g, params, st0.v, st0.w, num.dt_max)
+    assert dt0 < num.dt_max
+    # an interval far below one step records every step
+    res = run(g, params, ic, t_end=0.01, num=num, observe_interval=1e-9)
+    assert len(res.records) == res.steps + 1 > 3
+    assert res.records[0].dt == 0.0 and res.records[0].identity_residual == 0.0
+    assert res.records[1].dt == dt0
+    st1 = step(g, st0, params, dt0, num)
+    assert res.records[1].identity_residual == identity_residual(g, params, st0, st1)
+    assert sum(r.dt for r in res.records) == pytest.approx(0.01, rel=1e-12)
 
 
 def _reference_step(g, state, params, dt, ref_f):
@@ -327,8 +348,7 @@ def test_step_matches_reference_step_bitwise(ref_f, seed, n, chi, xi, tau, kin, 
     assert new.v.tobytes() == v_ref.tobytes()
     assert new.w.tobytes() == w_ref.tobytes()
     assert new.clipped_mass == clipped_ref
-    assert (solver._dt_from_speed(g, new.face_speed, 1.0)
-            == dt_cfl(g, params, new.v, new.w, 1.0))
+    assert min(new.cfl_dt, 1.0) == dt_cfl(g, params, new.v, new.w, 1.0)
 
 
 def test_homogeneous_state_is_stationary():
