@@ -425,6 +425,8 @@ def _mp_iter_log(m: int, x):
 LOG_GN_Q = 3.0
 LOG_GN_R = 1.0
 LOG_GN_EPS = 0.1
+# the highest log order it takes: at m = 3 the threshold tower overflows mpmath
+LOG_GN_M_MAX = 2
 
 
 @functools.lru_cache(maxsize=16)
@@ -441,19 +443,21 @@ def log_gn_check(grid: Grid, phi: np.ndarray, m: int) -> LogGNReport:
 
     with g(s) = (s + E_m) iterlog_m(s + E_m), at the fixed orders and
     weight (q, r, eps) = (LOG_GN_Q, LOG_GN_R, LOG_GN_EPS) = (3, 1, 0.1)
-    and m in [1, TOWER_MAX].  The constants follow the cutoff recipe:
+    and m in [1, LOG_GN_M_MAX].  The constants follow the cutoff recipe:
     C1 = 2^(q-1) Chat^q from the grid interpolation constant Chat
-    (gn_constant_estimate at (q, r)), the threshold lambda is the smallest
-    tower value with 2^(2q-r) C1 (lambda / g(lambda))^r < eps, then
-    C = 2^q C1 and C_eps = 2^q (2 lambda)^q |Omega|.
+    (gn_constant_estimate at (q, r)), the threshold lambda is the m-fold
+    exponential of a target just above (2^(2q-r) C1 / eps)^(1/r), so that
+    2^(2q-r) C1 (lambda / g(lambda))^r < eps, then C = 2^q C1 and
+    C_eps = 2^q (2 lambda)^q |Omega|.
     """
     import mpmath as mp
 
     grid.check_shape(phi)
     if np.min(phi) < 0:
         raise ValueError("log_gn_check requires a nonnegative field")
-    if not isinstance(m, (int, np.integer)) or not (1 <= m <= TOWER_MAX):
-        raise ValueError(f"log order m must be an integer in [1, {TOWER_MAX}], got {m}")
+    if not isinstance(m, (int, np.integer)) or not (1 <= m <= LOG_GN_M_MAX):
+        raise ValueError(f"log order m must be an integer in [1, {LOG_GN_M_MAX}], got {m}: "
+                         f"at m = 3 the threshold tower has too many digits for mpmath")
 
     q, r, eps = LOG_GN_Q, LOG_GN_R, LOG_GN_EPS
     c_hat = _log_gn_constant(grid.nx, grid.ny, grid.Lx, grid.Ly)
@@ -469,20 +473,11 @@ def log_gn_check(grid: Grid, phi: np.ndarray, m: int) -> LogGNReport:
     def condition(lam: mp.mpf) -> bool:
         return (lam / mp_g(lam)) ** r < bound and lam > 1
 
-    # lam / g(lam) is about 1 / iterlog_m(lam): seed the tower argument at
-    # the required iterated-log level and double until the test passes
+    # lam = exp^m(target) passes the test: lam / g(lam) < 1 / iterlog_m(lam
+    # + E_m) < 1 / target < bound^(1/r); only a non-finite target fails it
     target = float(mp.power(1 / bound, mp.mpf(1) / r)) * 1.01 + 1.0
-    lam = None
-    arg = target
-    constructed = False
-    for _ in range(64):
-        cand = mp_exp_tower(m, mp.mpf(arg))
-        if condition(cand):
-            lam = cand
-            constructed = True
-            break
-        arg *= 2.0
-    if not constructed:
+    lam = mp_exp_tower(m, mp.mpf(target))
+    if not condition(lam):
         return LogGNReport(
             holds=False, constructed=False, lam=None,
             C=float(2.0 ** q * C1), C_eps=None,

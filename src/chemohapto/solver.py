@@ -1,6 +1,6 @@
 """Time integration of the cell / chemical / matrix system.
 
-    u_t = Lap u - chi div(u grad v) - xi div(u grad w) + f(u, w)
+    u_t = Lap u - div(u grad(chi v + xi w)) + f(u, w)
     tau v_t = Lap v + u - v        (elliptic chemical when tau = 0)
     w_t = -v w
 
@@ -11,11 +11,12 @@ bound, an implicit Euler diffusion solve, the explicit reaction, and a
 clip at zero whose removed mass is logged.  Both linear solves are direct
 solves in the cosine basis that diagonalizes the Neumann Laplacian, so
 the zero mode (total mass) passes through unchanged; every solve checks
-its residual and raises when it misses the target.  The step takes the
-face differences of the new chemical and matrix fields once, for both
-transport terms and for the uncapped CFL bound of the new (v, w), which
-it stores on the returned state with its own length: the next step's dt
-is that bound capped by dt_max and the time left.
+its residual and raises when it misses the target.  The cells move with
+one velocity, the gradient of the taxis potential chi v + xi w: the step
+takes the face differences of that potential once, for the donor-cell
+transport and for the uncapped CFL bound, which it stores on the returned
+state with its own length: the next step's dt is that bound capped by
+dt_max and the time left.
 """
 
 from __future__ import annotations
@@ -158,9 +159,9 @@ class State:
     passes the overflow guard or any field stops being finite.
 
     dt is the length of the step that made the state (0.0 at the start).
-    cfl_dt is the transport bound of its (v, w) with no cap, +inf where
-    no face moves; initial_state and step fill it in, and None means not
-    yet computed.
+    cfl_dt is the transport bound of its taxis potential chi v + xi w with
+    no cap, +inf where no face moves; initial_state and step fill it in,
+    and None means not yet computed.
     """
 
     t: float
@@ -247,19 +248,17 @@ def solve_elliptic_v(grid: Grid, u: np.ndarray,
 # stepping
 
 
-def _face_speed(params: ModelParams, vx: np.ndarray, vy: np.ndarray,
-                wx: np.ndarray, wy: np.ndarray) -> float:
-    # largest chi |dv/dn| + xi |dw/dn| over interior faces, from face_diff;
+def _taxis_potential(params: ModelParams, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # chi v + xi w, whose gradient is the one velocity of the taxis flux
+    phi = params.chi * v
+    phi += params.xi * w
+    return phi
+
+
+def _face_speed(ax: np.ndarray, ay: np.ndarray) -> float:
+    # largest |a| over the interior faces of both axes, from face_diff;
     # overwrites its arguments, which callers no longer need
-    speed = 0.0
-    for dv, dw in ((vx, wx), (vy, wy)):
-        np.abs(dv, out=dv)
-        dv *= params.chi
-        np.abs(dw, out=dw)
-        dw *= params.xi
-        dv += dw
-        speed = max(speed, float(np.max(dv)))
-    return speed
+    return max(0.0, *(float(np.max(np.abs(a, out=a))) for a in (ax, ay)))
 
 
 # Courant number of the transport step at the largest face speed
@@ -274,9 +273,9 @@ def _cfl_bound(grid: Grid, speed: float) -> float:
 
 def dt_cfl(grid: Grid, params: ModelParams, v: np.ndarray, w: np.ndarray,
            dt_max: float) -> float:
-    """Transport stability bound CFL_SAFETY * min(h) / max face speed,
-    capped by dt_max."""
-    speed = _face_speed(params, *grid.face_diff(v), *grid.face_diff(w))
+    """Transport stability bound CFL_SAFETY * min(h) / max |d phi/dn| of the
+    taxis potential phi = chi v + xi w, capped by dt_max."""
+    speed = _face_speed(*grid.face_diff(_taxis_potential(params, v, w)))
     return min(dt_max, _cfl_bound(grid, speed))
 
 
@@ -285,10 +284,11 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
     """One split step of length dt from a valid state.
 
     Requires dt <= dt_cfl(...) for the positivity-friendly transport;
-    the caller (run) guarantees this.  The returned state carries dt, the
-    mass removed by the terminal clip at zero and the uncapped CFL bound
-    of its (v, w), taken from the face differences the transport already
-    used.
+    the caller (run) guarantees this.  u moves with the one taxis velocity
+    grad(chi v_new + xi w_new), upwinded once per face.  The returned state
+    carries dt, the mass removed by the terminal clip at zero and the
+    uncapped CFL bound of its fields, taken from the face differences the
+    transport already used.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -308,16 +308,15 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
     np.exp(w_new, out=w_new)
     w_new *= w
 
-    # one face_diff of each field serves both transport terms and the face
-    # speed of the next CFL bound; the face arrays go before the solve
-    vx, vy = grid.face_diff(v_new)
-    wx, wy = grid.face_diff(w_new)
-    taxis = (params.chi * grid.taxis_divergence(u, v_new, faces=(vx, vy))
-             + params.xi * grid.taxis_divergence(u, w_new, faces=(wx, wy)))
+    # one face_diff of the taxis potential serves the transport and the
+    # face speed of the next CFL bound; the face arrays go before the solve
+    phi = _taxis_potential(params, v_new, w_new)
+    ax, ay = grid.face_diff(phi)
+    taxis = grid.taxis_divergence(u, phi, faces=(ax, ay))
     taxis *= dt
     u_star = np.subtract(u, taxis, out=taxis)
-    cfl_dt = _cfl_bound(grid, _face_speed(params, vx, vy, wx, wy))
-    del vx, vy, wx, wy
+    cfl_dt = _cfl_bound(grid, _face_speed(ax, ay))
+    del phi, ax, ay
     u_dd = _cg_helmholtz(grid, u_star, 1.0, dt, ELLIPTIC_TOL)
     if params.kinetics.is_zero:
         u_rx = u_dd
@@ -386,6 +385,9 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
     if not observe_interval >= tiny:
         raise ValueError(f"observe_interval must be at least {TIME_RESOLUTION:g} * t_end "
                          f"= {tiny:.3g}, got {observe_interval}")
+    if not num.dt_max >= tiny:
+        raise ValueError(f"dt_max must be at least {TIME_RESOLUTION:g} * t_end "
+                         f"= {tiny:.3g}, got {num.dt_max}")
 
     state = initial_state(grid, params, ic)
     consts = DerivedConstants.from_ic(grid, ic)

@@ -336,6 +336,19 @@ def test_observe_every_below_the_time_resolution_is_an_error(tmp_path):
     assert not (tmp_path / "obs").exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("u_value = 1.0", "u_value = 0.0\nmass = 1.0", "cannot rescale zero-mass u0"),
+    ("t_end = 0.1", "t_end = 0.1\nobserve_every = 1e-18",
+     r"time\.observe_every must be 0 or at least 1e-12 \* t_end = 1e-13, got 1e-18 \(line"),
+], ids=["zero-mass-rescale", "observe-every-below-resolution"])
+def test_check_rejects_a_config_it_cannot_use(tmp_path, capsys, old, new, message):
+    out = tmp_path / "chk"
+    ini = write_ini(tmp_path, BASE.format(out=out).replace(old, new))
+    assert cli_main(["check", ini]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_run_writes_field_and_svg_artifacts(tmp_path):
     out = tmp_path / "art"
     body = BASE.format(out=out) + "fields = 1\nsvg = 1\n"

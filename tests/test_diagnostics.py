@@ -420,6 +420,23 @@ def test_verify_loggn_estimates_each_constant_once(monkeypatch):
     assert len(calls) == 6 and len(set(calls)) == 6
 
 
+def test_log_gn_check_rejects_m3_before_mpmath_overflows():
+    # exp^3 of the threshold argument (about 1.3e3) is too large for mpmath,
+    # so the range check rejects m = 3 before mpmath raises OverflowError
+    g = Grid(16, 16)
+    with pytest.raises(ValueError, match=r"in \[1, 2\], got 3: .* too many digits"):
+        log_gn_check(g, np.ones(g.shape), 3)
+
+
+def test_log_gn_check_reports_a_non_finite_threshold_as_not_constructed(monkeypatch):
+    from chemohapto import diagnostics
+    monkeypatch.setattr(diagnostics, "_log_gn_constant", lambda *grid: math.nan)
+    g = Grid(16, 16)
+    rep = log_gn_check(g, np.ones(g.shape), 1)
+    assert not rep.constructed and not rep.holds
+    assert rep.lam is None and rep.rhs is None
+
+
 def test_log_gn_check_validation():
     g = Grid(16, 16)
     phi = np.ones(g.shape)

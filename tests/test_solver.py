@@ -71,6 +71,34 @@ def test_initial_data_validation():
     InitialData(u0=ones, w0=0.0 * ones).validate(g, 0.0)
 
 
+def test_model_params_rejects_a_non_kinetics_source():
+    with pytest.raises(ValueError, match="kinetics must be a Kinetics instance"):
+        ModelParams(chi=1.0, xi=0.0, tau=0.0, kinetics="logistic")
+
+
+def _with(field, value, where):
+    a = np.ones((16, 16))
+    a[where] = value
+    return {field: a}
+
+
+@pytest.mark.parametrize("fields, tau, message", [
+    (_with("u0", math.nan, (3, 4)), 0.0, "u0 contains non-finite values"),
+    (_with("u0", math.inf, (0, 0)), 0.0, "u0 contains non-finite values"),
+    (_with("w0", math.nan, (3, 4)), 0.0, "w0 contains non-finite values"),
+    (_with("w0", -0.5, (3, 4)), 0.0, "w0 must be nonnegative"),
+    (_with("v0", math.inf, (3, 4)), 1.0, "v0 contains non-finite values"),
+    (_with("v0", -0.5, (3, 4)), 1.0, "v0 must be nonnegative"),
+], ids=["u0-nan", "u0-inf", "w0-nan", "w0-negative", "v0-inf-tau1", "v0-negative-tau1"])
+def test_initial_data_rejects_each_bad_field(fields, tau, message):
+    g = Grid(16, 16)
+    data = {"u0": np.ones(g.shape), "w0": np.ones(g.shape), **fields}
+    with pytest.raises(InitialDataError, match=message):
+        InitialData(**data).validate(g, tau)
+    if "v0" in fields:   # tau = 0 ignores v0
+        InitialData(**data).validate(g, 0.0)
+
+
 def test_gradient_compatibility_constant():
     g = Grid(32, 32)
     X, _ = g.mesh()
@@ -249,6 +277,32 @@ def test_dt_cfl_formula():
     assert dt_cfl(g, params, flat, flat, dt_max=0.125) == 0.125
 
 
+def test_opposing_drifts_cancel_in_the_one_taxis_velocity():
+    # chi v + xi w = x + (1 - x) = 1 exactly at the dyadic cell centres, so
+    # chemotaxis and haptotaxis cancel on every face and nothing limits dt
+    g = Grid(16, 16)
+    X, _ = g.mesh()
+    params = ModelParams(chi=1.0, xi=1.0, tau=1.0, kinetics=ZeroKinetics())
+    ic = InitialData(u0=np.ones(g.shape), w0=1.0 - X, v0=X.copy())
+    assert initial_state(g, params, ic).cfl_dt == math.inf
+    assert dt_cfl(g, params, ic.v0, ic.w0, 0.5) == 0.5
+
+
+def test_adding_drifts_bound_dt_by_the_face_speed_of_the_potential():
+    g = Grid(16, 16)
+    X, Y = g.mesh()
+    params = ModelParams(chi=1.0, xi=2.0, tau=1.0, kinetics=ZeroKinetics())
+    v = X + 0.25 * Y ** 2
+    w = 0.1 + 0.5 * X + 0.125 * Y
+    ax, ay = g.face_diff(params.chi * v + params.xi * w)
+    speed = max(np.max(np.abs(ax)), np.max(np.abs(ay)))
+    assert dt_cfl(g, params, v, w, 1.0) == pytest.approx(
+        solver.CFL_SAFETY * min(g.hx, g.hy) / speed, rel=1e-12)
+    # d(chi v + xi w)/dx = 1 + 2 * 0.5 = 2 on every x face, and the y faces
+    # move slower: |dv/dy| <= 0.5 and dw/dy = 0.125
+    assert dt_cfl(g, params, v, w, 1.0) == pytest.approx(0.4 * g.hx / 2.0, rel=1e-12)
+
+
 def test_carried_cfl_bound_gives_the_dt_cfl_bound(monkeypatch):
     g = Grid(32, 32)
     params = ModelParams(chi=1.5, xi=0.75, tau=1.0, kinetics=LogisticKinetics(1.0))
@@ -298,7 +352,8 @@ def test_run_records_the_cfl_limited_dt_of_each_step():
 
 def _reference_step(g, state, params, dt, ref_f):
     # the split step spelled out with taxis_divergence, which takes its own
-    # face differences, and the old source evaluation ref_f
+    # face differences of the taxis potential chi v + xi w, and the old
+    # source evaluation ref_f
     u, v, w = state.u, state.v, state.w
     if params.tau == 0.0:
         v_new = solve_elliptic_v(g, u, solver.ELLIPTIC_TOL)
@@ -308,8 +363,9 @@ def _reference_step(g, state, params, dt, ref_f):
                                      params.tau / dt + 1.0, 1.0, solver.ELLIPTIC_TOL)
         v_frozen = 0.5 * (v + v_new)
     w_new = w * np.exp(-dt * np.maximum(v_frozen, 0.0))
-    u_star = u - dt * (params.chi * g.taxis_divergence(u, v_new)
-                       + params.xi * g.taxis_divergence(u, w_new))
+    phi = params.chi * v_new
+    phi += params.xi * w_new
+    u_star = u - dt * g.taxis_divergence(u, phi)
     u_dd = solver._cg_helmholtz(g, u_star, 1.0, dt, solver.ELLIPTIC_TOL)
     u_rx = u_dd
     if not params.kinetics.is_zero:
@@ -465,6 +521,20 @@ def test_run_rejects_observe_interval_below_the_time_resolution():
     params = ModelParams(chi=0.5, xi=0.25, tau=0.0, kinetics=LogisticKinetics(1.0))
     with pytest.raises(ValueError, match="observe_interval"):
         run(g, params, bump_ic(g, mass=1.0), t_end=0.05, observe_interval=1e-18)
+
+
+@pytest.mark.parametrize("dt_max", [1e-300, math.nan])
+def test_run_rejects_dt_max_below_the_time_resolution(monkeypatch, dt_max):
+    # 1e-300 would need 1e300 steps to reach t_end, and a nan cap used to be
+    # dropped by min(); neither may reach the stepper
+    def no_step(*args, **kwargs):
+        raise AssertionError("run stepped with a dt_max below the time resolution")
+
+    monkeypatch.setattr(solver, "step", no_step)
+    g = Grid(8, 8)
+    params = ModelParams(chi=1.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics())
+    with pytest.raises(ValueError, match="dt_max must be at least"):
+        run(g, params, bump_ic(g, mass=1.0), t_end=1.0, num=Numerics(dt_max=dt_max))
 
 
 def test_run_records_cadence_and_final():
