@@ -26,7 +26,7 @@ import numpy.random  # noqa: F401
 
 from .grid import Grid
 from .kinetics import _KINETICS_TYPES
-from .solver import TIME_RESOLUTION, InitialData, ModelParams, Numerics
+from .solver import TIME_RESOLUTION, InitialData, ModelParams, Numerics, check_time_floor
 
 
 class ConfigError(ValueError):
@@ -295,10 +295,11 @@ def build_run_config(sections: dict, origin: str = "<memory>", text: str = "") -
     t = read("time")
     t_end, dt_max, observe = t["t_end"], t["dt_max"], t["observe_every"]
     observe_every = None if observe == 0.0 else observe
+    try:
+        check_time_floor("dt_max", dt_max, t_end)
+    except ValueError as exc:
+        raise ConfigError(f"{origin}: time.{exc}{_locate(text, 'time', 'dt_max')}") from None
     tiny = TIME_RESOLUTION * t_end
-    if dt_max < tiny:
-        raise _fail(origin, text, "time", "dt_max", f"must be at least "
-                    f"{TIME_RESOLUTION:g} * t_end = {tiny:.3g}", dt_max)
     if observe_every is not None and observe_every < tiny:
         raise _fail(origin, text, "time", "observe_every", f"must be 0 or at least "
                     f"{TIME_RESOLUTION:g} * t_end = {tiny:.3g}", observe)

@@ -69,7 +69,7 @@ def identity_residual(grid: Grid, params, prev, state, m: Optional[int] = None) 
     operators of the scheme.
     """
     dt = state.dt
-    if dt <= 0:
+    if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive, got {dt}")
     u0, u1 = prev.u, state.u
     um = 0.5 * (u0 + u1)

@@ -489,9 +489,9 @@ def mass_cap(spec: Kinetics, u0_mass: float, area: float) -> float:
     m' <= area*sup - eta*m caps m by max(m(0), area*sup/eta), which
     degenerates to the initial mass itself.
     """
-    if u0_mass < 0:
+    if not 0 <= u0_mass < math.inf:
         raise ValueError(f"u0_mass must be nonnegative, got {u0_mass}")
-    if area <= 0:
+    if not 0 < area < math.inf:
         raise ValueError(f"area must be positive, got {area}")
     if spec.is_zero:
         return float(u0_mass)

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import Grid
-from .kinetics import Kinetics
+from .kinetics import Kinetics, _positive
 from . import diagnostics
 
 
@@ -51,12 +51,10 @@ class ModelParams:
     kinetics: Kinetics
 
     def __post_init__(self):
-        if not (self.chi >= 0 and math.isfinite(self.chi)):
-            raise ValueError(f"chi must be finite and >= 0, got {self.chi}")
-        if not (self.xi >= 0 and math.isfinite(self.xi)):
-            raise ValueError(f"xi must be finite and >= 0, got {self.xi}")
-        if not (self.tau >= 0 and math.isfinite(self.tau)):
-            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
+        for name in ("chi", "xi", "tau"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not isinstance(self.kinetics, Kinetics):
             raise ValueError("kinetics must be a Kinetics instance")
 
@@ -68,12 +66,18 @@ class ModelParams:
 ELLIPTIC_TOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class Numerics:
-    """Knobs of the discrete scheme; defaults match the documented contract."""
+    """Knobs of the discrete scheme; defaults match the documented contract.
+    Both must be finite and > 0 (a nan guard would turn the divergence flag
+    off); run also bounds dt_max below by its t_end, see check_time_floor."""
 
     dt_max: float = 1e-2
     overflow_guard: float = 1e12
+
+    def __post_init__(self):
+        _positive("dt_max", self.dt_max)
+        _positive("overflow_guard", self.overflow_guard)
 
 
 @dataclass
@@ -89,28 +93,20 @@ class InitialData:
     v0: Optional[np.ndarray] = None
 
     def validate(self, grid: Grid, tau: float) -> None:
-        try:
-            grid.check_shape(self.u0)
-            grid.check_shape(self.w0)
-            if tau > 0 and self.v0 is not None:
-                grid.check_shape(self.v0)
-        except ValueError as exc:
-            raise InitialDataError(str(exc)) from None
-        if not np.all(np.isfinite(self.u0)):
-            raise InitialDataError("u0 contains non-finite values")
-        if not np.all(np.isfinite(self.w0)):
-            raise InitialDataError("w0 contains non-finite values")
-        if np.min(self.u0) < 0:
-            raise InitialDataError(f"u0 must be nonnegative, min is {np.min(self.u0)}")
+        given = {"u0": self.u0, "w0": self.w0}
+        if tau > 0 and self.v0 is not None:
+            given["v0"] = self.v0
+        for name, f in given.items():
+            try:
+                grid.check_shape(f)
+            except ValueError as exc:
+                raise InitialDataError(str(exc)) from None
+            if not np.all(np.isfinite(f)):
+                raise InitialDataError(f"{name} contains non-finite values")
+            if np.min(f) < 0:
+                raise InitialDataError(f"{name} must be nonnegative, min is {np.min(f)}")
         if not np.any(self.u0 > 0):
             raise InitialDataError("u0 must not be identically zero")
-        if np.min(self.w0) < 0:
-            raise InitialDataError(f"w0 must be nonnegative, min is {np.min(self.w0)}")
-        if tau > 0 and self.v0 is not None:
-            if not np.all(np.isfinite(self.v0)):
-                raise InitialDataError("v0 contains non-finite values")
-            if np.min(self.v0) < 0:
-                raise InitialDataError(f"v0 must be nonnegative, min is {np.min(self.v0)}")
         try:
             compatibility_constant(grid, self.w0)
         except ValueError as exc:
@@ -274,7 +270,9 @@ def _cfl_bound(grid: Grid, speed: float) -> float:
 def dt_cfl(grid: Grid, params: ModelParams, v: np.ndarray, w: np.ndarray,
            dt_max: float) -> float:
     """Transport stability bound CFL_SAFETY * min(h) / max |d phi/dn| of the
-    taxis potential phi = chi v + xi w, capped by dt_max."""
+    taxis potential phi = chi v + xi w, capped by dt_max > 0 (inf: no cap)."""
+    if not dt_max > 0:
+        raise ValueError(f"dt_max must be positive, got {dt_max}")
     speed = _face_speed(*grid.face_diff(_taxis_potential(params, v, w)))
     return min(dt_max, _cfl_bound(grid, speed))
 
@@ -290,7 +288,7 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
     uncapped CFL bound of its fields, taken from the face differences the
     transport already used.
     """
-    if dt <= 0:
+    if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive, got {dt}")
     u, v, w = state.u, state.v, state.w
 
@@ -367,6 +365,15 @@ class RunResult:
 TIME_RESOLUTION = 1e-12
 
 
+def check_time_floor(name: str, value: float, t_end: float) -> None:
+    """Raise ValueError unless value >= TIME_RESOLUTION * t_end (nan fails):
+    a finer dt_max or observe_interval is below the run's time resolution."""
+    tiny = TIME_RESOLUTION * t_end
+    if not value >= tiny:
+        raise ValueError(f"{name} must be at least {TIME_RESOLUTION:g} * t_end "
+                         f"= {tiny:.3g}, got {value}")
+
+
 def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
         num: Numerics = Numerics(), observe_interval: Optional[float] = None) -> RunResult:
     """Integrate to t_end with adaptive CFL-bounded steps: each dt is the
@@ -377,18 +384,14 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
     state exits early with its record included.  The mass removed by the
     clip at zero is summed over every step, observed or not.
     """
-    if t_end <= 0:
+    if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive, got {t_end}")
     if observe_interval is None:
         observe_interval = t_end / 128.0
-    tiny = TIME_RESOLUTION * t_end
-    if not observe_interval >= tiny:
-        raise ValueError(f"observe_interval must be at least {TIME_RESOLUTION:g} * t_end "
-                         f"= {tiny:.3g}, got {observe_interval}")
-    if not num.dt_max >= tiny:
-        raise ValueError(f"dt_max must be at least {TIME_RESOLUTION:g} * t_end "
-                         f"= {tiny:.3g}, got {num.dt_max}")
+    check_time_floor("observe_interval", observe_interval, t_end)
+    check_time_floor("dt_max", num.dt_max, t_end)
 
+    tiny = TIME_RESOLUTION * t_end
     state = initial_state(grid, params, ic)
     consts = DerivedConstants.from_ic(grid, ic)
     result = RunResult(records=[diagnostics.make_record(grid, params, None, state, consts)])

@@ -159,6 +159,26 @@ def test_config_reads_an_integral_real_k_as_an_int(tmp_path):
     assert cli_main(["check", ini, "--out", str(tmp_path / "chk")]) == 0
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("nx = 16", "nx = 3.5", "{ini}: grid.nx must be an integer, got '3.5' (line {line})"),
+    ("[output]", "[output]\nfields = maybe", "{ini}: output.fields must be a boolean "
+     "(1/0/true/false/yes/no), got 'maybe' (line {line})"),
+    ("preset = homogeneous", "preset = gaussian-bump\ncenters = ,",
+     "{ini}: ic.centers is empty (line {line})"),
+    ("nx = 16", "nx 16", "config parse error in {ini}: Source contains parsing errors: "
+     "'{ini}'\n\t[line {line:2d}]: 'nx 16\\n'"),
+    ("dt_max = 5e-3", "dt_max = 1e-300", "{ini}: time.dt_max must be at least "
+     "1e-12 * t_end = 1e-13, got 1e-300 (line {line})"),
+], ids=["fractional-integer", "bad-boolean", "empty-centers", "no-equals", "dt_max-floor"])
+def test_config_error_names_the_key_and_line(tmp_path, old, new, message):
+    body = BASE.format(out=tmp_path / "o").replace(old, new)
+    ini = write_ini(tmp_path, body)
+    line = body.splitlines().index(new.split("\n")[-1]) + 1   # the edit's last row
+    with pytest.raises(ConfigError) as err:
+        load_config(ini)
+    assert str(err.value) == message.format(ini=ini, line=line)
+
+
 def test_modes_format_error(tmp_path):
     body = BASE.format(out=tmp_path).replace(
         "preset = homogeneous", "preset = cosine-perturbation\nmodes = 1:1")
@@ -851,11 +871,24 @@ def test_unusable_out_path_is_a_usage_error(tmp_path, monkeypatch, capsys, comma
     assert taken.read_text() == ""
 
 
-def test_sweep_point_solver_error_is_reported(tmp_path, monkeypatch):
-    def failing_run(*args, **kwargs):
-        raise RuntimeError("spectral Helmholtz solve missed the residual target")
+def _failing_run(*args, **kwargs):
+    raise RuntimeError("spectral Helmholtz solve missed the residual target")
 
-    monkeypatch.setattr(cli, "run", failing_run)
+
+def test_run_solver_error_exits_1_with_a_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run", _failing_run)
+    out = tmp_path / "se"
+    assert cli_main(["run", os.path.join(CONFIGS, "homogeneous-minimal.ini"),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: solver failed: spectral Helmholtz solve missed the residual target\n")
+    rep = json.load(open(out / "report.json"))
+    assert rep["run"] == {"status": "solver_error",
+                          "error": "spectral Helmholtz solve missed the residual target"}
+
+
+def test_sweep_point_solver_error_is_reported(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run", _failing_run)
     out = tmp_path / "sw"
     assert cli_main(["sweep", os.path.join(CONFIGS, "homogeneous-minimal.ini"),
                      "--axis", "chi=1:1:1", "--threads", "1",

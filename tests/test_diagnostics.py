@@ -157,6 +157,27 @@ def test_matrix_decay_violation_sign():
                                 rel=1e-12)
 
 
+@pytest.mark.parametrize("m, u, message", [
+    (0, 1.0, "log order m must be an integer >= 1, got 0"),
+    (1, -0.5, "g_functional requires a nonnegative field"),
+], ids=["m0", "negative-field"])
+def test_g_functional_rejects_its_inputs(m, u, message):
+    g = Grid(8, 8)
+    field = np.ones(g.shape)
+    field[2, 3] = u
+    with pytest.raises(ValueError, match=message):
+        g_functional(g, field, m)
+
+
+@pytest.mark.parametrize("times, values, message", [
+    ([0.0, 1.0, 2.0], [1.0, 2.0], "matching time/value arrays"),
+    ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], "records in both halves"),
+], ids=["mismatched-lengths", "empty-second-half"])
+def test_plateau_ratio_rejects_unusable_histories(times, values, message):
+    with pytest.raises(ValueError, match=message):
+        plateau_ratio(np.array(times), np.array(values))
+
+
 def test_plateau_ratio_split():
     times = np.array([0.0, 1.0, 2.0, 3.0])
     vals = np.array([1.0, 2.0, 3.0, 4.0])

@@ -105,6 +105,15 @@ def test_shifted_log_weight_positive_with_lemma_floor():
         assert np.min(w / d) >= floor - 1e-12
 
 
+@pytest.mark.parametrize("fn", [shifted_log_deriv, shifted_log_weight])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_shifted_log_functions_return_a_float_for_a_scalar(fn, m):
+    z = np.array([0.0, 0.5, 40.0])
+    for zi, expect in zip(z.tolist(), fn(m, z)):
+        out = fn(m, zi)
+        assert type(out) is float and out == expect
+
+
 def test_weight_m1_is_pure_derivative():
     # the correction sum is void at m = 1
     z = np.geomspace(1e-9, 1e9, 50)
@@ -482,6 +491,17 @@ def test_float_evaluator_matches_the_array_path_bitwise(s):
     with np.errstate(all="ignore"):
         for kin, *_ in PINNED:
             assert _same_bits(kin._f0(s), kin.f(np.array([s]), 0.0)[0]), (kin, s)
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0])
+def test_a_pure_power_damping_matches_the_float_evaluator_bitwise(r):
+    # c > 0 with gamma = 0 and no depths: P(s) = 1, so both paths return
+    # c * s^2 without a divisor
+    kin = Kinetics(r=r, a=1.0, c=2.0)
+    s_grid = np.concatenate(([1e-300, 1e-200, 1e-16], np.geomspace(1e-9, 1e8, 257)))
+    out = np.array([kin._f0(s) for s in s_grid.tolist()])
+    assert _same_bits(out, kin.f(s_grid, 0.0))
+    assert _same_bits(kin.f(s_grid, 0.0), r * s_grid * 1.0 - 2.0 * s_grid * s_grid)
 
 
 def test_float_evaluator_matches_a_bracket_grid_bitwise():

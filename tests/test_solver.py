@@ -1,5 +1,6 @@
 """Time stepper: elliptic solve, CFL, splitting step, full runs."""
 
+import dataclasses
 import math
 import re
 
@@ -24,6 +25,7 @@ from chemohapto import (
     dt_cfl,
     identity_residual,
     initial_state,
+    mass_cap,
     run,
     solve_elliptic_v,
     step,
@@ -69,6 +71,75 @@ def test_initial_data_validation():
         run(g, ModelParams(chi=0.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics()),
             InitialData(u0=ones, w0=np.ones((16, 8))), t_end=0.1)
     InitialData(u0=ones, w0=0.0 * ones).validate(g, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", ["chi", "xi", "tau"])
+def test_model_params_rejects_a_non_finite_or_negative_field(name, value):
+    fields = {"chi": 0.0, "xi": 0.0, "tau": 0.0, name: value}
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0, got {value}$"):
+        ModelParams(**fields, kinetics=ZeroKinetics())
+
+
+def _bad_input_calls():
+    """{case: (argument name, call of one bad value)} for every entry point
+    that checks a number; tau > 0 with a given v0 needs no solve at t = 0."""
+    g = Grid(8, 8)
+    params = ModelParams(chi=1.0, xi=0.0, tau=1.0, kinetics=ZeroKinetics())
+    ones = np.ones(g.shape)
+    ic = InitialData(u0=ones, w0=ones, v0=ones)
+    st = initial_state(g, params, ic)
+    logistic = LogisticKinetics(1.0)
+    return {
+        "Numerics-dt_max": ("dt_max", lambda x: Numerics(dt_max=x)),
+        "Numerics-overflow_guard": ("overflow_guard", lambda x: Numerics(overflow_guard=x)),
+        "run-t_end": ("t_end", lambda x: run(g, params, ic, t_end=x)),
+        "step-dt": ("dt", lambda x: step(g, st, params, x)),
+        "identity_residual-dt": (
+            "dt", lambda x: identity_residual(g, params, st, dataclasses.replace(st, dt=x))),
+        "dt_cfl-dt_max": ("dt_max", lambda x: dt_cfl(g, params, st.v, st.w, x)),
+        "mass_cap-u0_mass": ("u0_mass", lambda x: mass_cap(logistic, x, 1.0)),
+        "mass_cap-area": ("area", lambda x: mass_cap(logistic, 1.0, x)),
+    }
+
+
+# dt_cfl takes dt_max = +inf as "no cap", and a mass of 0 is a mass
+_ACCEPTED = {("dt_cfl-dt_max", math.inf), ("mass_cap-u0_mass", 0.0)}
+
+
+@pytest.mark.parametrize("case, value", [
+    (case, value)
+    for case in _bad_input_calls()
+    for value in [math.nan, math.inf, -math.inf, 0.0, -1.0]
+    if (case, value) not in _ACCEPTED])
+def test_bad_numeric_input_is_rejected_before_any_solve(monkeypatch, case, value):
+    # a nan guard used to switch the divergence flag off, and a nan or inf dt
+    # reached the spectral solve, whose residual check then blamed the solver
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a bad input reached a solve")
+
+    monkeypatch.setattr(solver, "_cg_helmholtz", no_solve)
+    name, call = _bad_input_calls()[case]
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        call(value)
+
+
+def test_numerics_is_frozen_so_its_check_holds():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Numerics().overflow_guard = math.nan
+
+
+def test_a_finite_overflow_guard_flags_the_blow_up_at_the_first_step():
+    # a mass-60 bump under chi = 1 passes max u = 1e3 in one step; with a nan
+    # guard the same run used to take 1198 steps to max u = 9.9e3 and say ok
+    g = Grid(32, 32)
+    X, Y = g.mesh()
+    u0 = np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / (2 * 0.08 ** 2))
+    u0 *= 60.0 / g.integrate(u0)
+    params = ModelParams(chi=1.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics())
+    res = run(g, params, InitialData(u0=u0, w0=np.zeros(g.shape)), t_end=0.1,
+              num=Numerics(dt_max=2e-3, overflow_guard=1e3))
+    assert res.status == "diverged" and res.steps == 1
 
 
 def test_model_params_rejects_a_non_kinetics_source():
@@ -523,10 +594,9 @@ def test_run_rejects_observe_interval_below_the_time_resolution():
         run(g, params, bump_ic(g, mass=1.0), t_end=0.05, observe_interval=1e-18)
 
 
-@pytest.mark.parametrize("dt_max", [1e-300, math.nan])
+@pytest.mark.parametrize("dt_max", [1e-300])
 def test_run_rejects_dt_max_below_the_time_resolution(monkeypatch, dt_max):
-    # 1e-300 would need 1e300 steps to reach t_end, and a nan cap used to be
-    # dropped by min(); neither may reach the stepper
+    # 1e-300 would need 1e300 steps to reach t_end; it may not reach the stepper
     def no_step(*args, **kwargs):
         raise AssertionError("run stepped with a dt_max below the time resolution")
 
@@ -535,6 +605,19 @@ def test_run_rejects_dt_max_below_the_time_resolution(monkeypatch, dt_max):
     params = ModelParams(chi=1.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics())
     with pytest.raises(ValueError, match="dt_max must be at least"):
         run(g, params, bump_ic(g, mass=1.0), t_end=1.0, num=Numerics(dt_max=dt_max))
+
+
+def test_numerics_rejects_a_nan_dt_max_before_any_step(monkeypatch):
+    # a nan cap used to be dropped by min(); Numerics now refuses it when it is
+    # built, so no run starts and no step is taken
+    def no_step(*args, **kwargs):
+        raise AssertionError("run stepped with a nan dt_max")
+
+    monkeypatch.setattr(solver, "step", no_step)
+    g = Grid(8, 8)
+    params = ModelParams(chi=1.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics())
+    with pytest.raises(ValueError, match="dt_max must be finite and > 0, got nan"):
+        run(g, params, bump_ic(g, mass=1.0), t_end=1.0, num=Numerics(dt_max=math.nan))
 
 
 def test_run_records_cadence_and_final():
