@@ -134,7 +134,7 @@ def _run_config(cfg: RunConfig, out: str) -> tuple:
 
 
 def cmd_run(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         cfg = _apply_cli_overrides(load_config(args.config), args)
         result, _, threshold, classification = _run_config(cfg, cfg.out_dir)
@@ -142,7 +142,7 @@ def cmd_run(args) -> int:
         return _fail(f"solver failed: {exc}", code=1)
     except (ValueError, OSError) as exc:    # ConfigError, InitialDataError too
         return _fail(str(exc))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
 
     last = result.records[-1]
     print(f"run: {result.status}, {result.steps} steps to t={result.final.t:.6g} "
@@ -192,12 +192,12 @@ def cmd_verify(args) -> int:
     from . import verify
 
     print(f"suite: {args.suite}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = getattr(verify, args.suite)()
     for row in rows:
         print(verify.format_row(*row))
     ok_all = all(row.ok for row in rows)
-    print(f"result: {'PASS' if ok_all else 'FAIL'} ({time.time() - t0:.1f}s)")
+    print(f"result: {'PASS' if ok_all else 'FAIL'} ({time.perf_counter() - t0:.1f}s)")
     return 0 if ok_all else 1
 
 
@@ -299,7 +299,7 @@ def cmd_sweep(args) -> int:
         jobs.append((idx, sections, cfg.origin, assignment, out_root))
 
     workers = min(args.threads or 1, len(jobs))
-    t0 = time.time()
+    t0 = time.perf_counter()
     if workers > 1:
         # only a parallel sweep forks, so only it loads the process pool; it
         # imports scipy.fft first so that the forked workers inherit it
@@ -316,7 +316,7 @@ def cmd_sweep(args) -> int:
     for row in rows:
         key = (row["case"] or "error", row["label"] or "error")
         confusion[key] = confusion.get(key, 0) + 1
-    lines = [f"{total} points in {time.time() - t0:.1f}s "
+    lines = [f"{total} points in {time.perf_counter() - t0:.1f}s "
              f"({workers} thread{'s' if workers > 1 else ''})"]
     lines.append("condition-case vs run-classification:")
     for (case, label), n in sorted(confusion.items()):

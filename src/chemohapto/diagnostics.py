@@ -108,7 +108,7 @@ def identity_residual(grid: Grid, params, prev, state, m: Optional[int] = None) 
 
     rhs = (params.chi * grid.dirichlet_energy(carrier, vm)
            + params.xi * grid.dirichlet_energy(carrier, wm))
-    rhs += grid.integrate(rweight * params.kinetics.f(np.maximum(um, 0.0), wm))
+    rhs += grid.integrate(rweight * params.kinetics.f(um, wm))
     return abs(lhs - rhs)
 
 
@@ -175,15 +175,14 @@ def make_record(grid, params, prev, state, consts) -> DiagnosticsRecord:
     and 0.0 for a state no step made (prev None)."""
     u, v, w = state.u, state.v, state.w
     residual = 0.0 if prev is None else identity_residual(grid, params, prev, state)
-    u_pos = np.maximum(u, 0.0)
     grad_v = grid.grad_magnitude(v)
     return DiagnosticsRecord(
         t=state.t,
         mass=grid.integrate(u),
         l2_u=grid.norm(u, 2),
         linf_u=grid.norm(u, math.inf),
-        entropy=entropy(grid, u_pos),
-        g_m=g_functional(grid, u_pos, 1),
+        entropy=entropy(grid, u),
+        g_m=g_functional(grid, u, 1),
         grad_v_l4=grid.norm(grad_v, 4),
         linf_grad_v=grid.norm(grad_v, math.inf),
         linf_grad_w=grid.grad_norm(w, math.inf),

@@ -112,23 +112,22 @@ class Grid:
         dx, dy = self.face_diff(f)
         return self._div(dx, dy)
 
-    def taxis_divergence(self, u: np.ndarray, phi: np.ndarray,
-                         faces: tuple[np.ndarray, np.ndarray] | None = None,
-                         ) -> np.ndarray:
-        """div(u grad(phi)) with donor-cell upwinding of the carrier u.
+    def taxis_divergence(self, u: np.ndarray, ax: np.ndarray,
+                         ay: np.ndarray) -> np.ndarray:
+        """div(u a) with donor-cell upwinding of the carrier u.
 
-        The face velocity is the normal difference of phi over h; the face
-        value of u is taken from the upwind side, which keeps the explicit
-        transport step positivity-friendly under the CFL bound.  Boundary
-        fluxes vanish, so integrate(result) == 0 up to rounding, and for
-        constant u the result coincides with laplacian_neumann(phi).
-
-        A caller that already holds face_diff(phi) passes it as faces; the
-        method then reads those arrays instead of differencing phi again.
+        The face velocity a = (ax, ay) comes in face_diff's layout,
+        (nx-1, ny) and (nx, ny-1); the drift of a potential phi is
+        face_diff(phi).  The face value of u is taken from the upwind side,
+        which keeps the explicit transport step positivity-friendly under
+        the CFL bound.  Boundary fluxes vanish, so integrate(result) == 0 up
+        to rounding, and for constant u and a = face_diff(phi) the result
+        coincides with laplacian_neumann(phi).  ax and ay are left unchanged.
         """
         self.check_shape(u)
-        self.check_shape(phi)
-        ax, ay = self.face_diff(phi) if faces is None else faces
+        if ax.shape != (self.nx - 1, self.ny) or ay.shape != (self.nx, self.ny - 1):
+            raise ValueError(f"face drift shapes {ax.shape} and {ay.shape} do not match "
+                             f"face_diff's layout on grid ({self.nx}, {self.ny})")
         # donor cell: positive face velocity transports from the low side;
         # a zero or nan velocity takes the high side
         Fx = u[1:, :].copy()

@@ -11,12 +11,15 @@ bound, an implicit Euler diffusion solve, the explicit reaction, and a
 clip at zero whose removed mass is logged.  Both linear solves are direct
 solves in the cosine basis that diagonalizes the Neumann Laplacian, so
 the zero mode (total mass) passes through unchanged; every solve checks
-its residual and raises when it misses the target.  The cells move with
+its residual and raises when it misses the target or is not finite.  A
+non-finite u, v or w reaches one of those solves, so a returned step has
+finite v and w, and its divergence test reads only u: the state is
+flagged when max u is not <= the overflow guard.  The cells move with
 one velocity, the gradient of the taxis potential chi v + xi w: the step
-takes the face differences of that potential once, for the donor-cell
-transport and for the uncapped CFL bound, which it stores on the returned
-state with its own length: the next step's dt is that bound capped by
-dt_max and the time left.
+takes the face differences of that potential once, passes them to the
+donor-cell transport as its face drift, and takes from them the uncapped
+CFL bound, which it stores on the returned state with its own length:
+the next step's dt is that bound capped by dt_max and the time left.
 """
 
 from __future__ import annotations
@@ -37,12 +40,13 @@ class InitialDataError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
     """Sensitivities and chemical relaxation time.
 
     chi and xi may be zero (pure diffusion runs); tau = 0 switches the
-    chemical equation to its elliptic limit.
+    chemical equation to its elliptic limit.  Frozen, so the check made
+    when it is built holds for its life.
     """
 
     chi: float
@@ -151,8 +155,10 @@ class DerivedConstants:
 
 @dataclass
 class State:
-    """Trajectory point; status flips to 'diverged' when the sup norm of u
-    passes the overflow guard or any field stops being finite.
+    """Trajectory point; status flips to 'diverged' when max u is not <=
+    the overflow guard, so a nan or inf in u flips it too.  v and w need no
+    check: a non-finite u, v or w reaches a solve of the step, whose
+    residual guard raises, and w_new = w exp(-dt max(v, 0)) only shrinks w.
 
     dt is the length of the step that made the state (0.0 at the start).
     cfl_dt is the transport bound of its taxis potential chi v + xi w with
@@ -308,13 +314,12 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
 
     # one face_diff of the taxis potential serves the transport and the
     # face speed of the next CFL bound; the face arrays go before the solve
-    phi = _taxis_potential(params, v_new, w_new)
-    ax, ay = grid.face_diff(phi)
-    taxis = grid.taxis_divergence(u, phi, faces=(ax, ay))
+    ax, ay = grid.face_diff(_taxis_potential(params, v_new, w_new))
+    taxis = grid.taxis_divergence(u, ax, ay)
     taxis *= dt
     u_star = np.subtract(u, taxis, out=taxis)
     cfl_dt = _cfl_bound(grid, _face_speed(ax, ay))
-    del phi, ax, ay
+    del ax, ay
     u_dd = _cg_helmholtz(grid, u_star, 1.0, dt, ELLIPTIC_TOL)
     if params.kinetics.is_zero:
         u_rx = u_dd
@@ -324,14 +329,8 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
     clipped = grid.integrate(np.maximum(removed, 0.0, out=removed))
     u_new = np.maximum(u_rx, 0.0, out=u_rx)
 
-    status = "ok"
-    if (
-        not np.all(np.isfinite(u_new))
-        or not np.all(np.isfinite(v_new))
-        or not np.all(np.isfinite(w_new))
-        or np.max(u_new) > num.overflow_guard
-    ):
-        status = "diverged"
+    # nan and inf fail the comparison, so they flag the step too
+    status = "ok" if np.max(u_new) <= num.overflow_guard else "diverged"
     return State(t=state.t + dt, u=u_new, v=v_new, w=w_new, status=status,
                  clipped_mass=clipped, dt=dt, cfl_dt=cfl_dt)
 

@@ -100,7 +100,7 @@ def test_taxis_conserves_mass_exactly():
     rng = np.random.default_rng(1)
     u = rng.random(g.shape)
     phi = rng.random(g.shape)
-    assert abs(g.integrate(g.taxis_divergence(u, phi))) < 1e-14
+    assert abs(g.integrate(g.taxis_divergence(u, *g.face_diff(phi)))) < 1e-14
 
 
 def test_taxis_constant_density_reduces_to_laplacian():
@@ -109,10 +109,20 @@ def test_taxis_constant_density_reduces_to_laplacian():
     rng = np.random.default_rng(2)
     phi = rng.random(g.shape)
     ones = np.ones(g.shape)
-    assert np.array_equal(g.taxis_divergence(ones, phi), g.laplacian_neumann(phi))
+    assert np.array_equal(g.taxis_divergence(ones, *g.face_diff(phi)), g.laplacian_neumann(phi))
     u3 = np.full(g.shape, 3.0)
-    assert np.allclose(g.taxis_divergence(u3, phi),
+    assert np.allclose(g.taxis_divergence(u3, *g.face_diff(phi)),
                        3.0 * g.laplacian_neumann(phi), rtol=1e-12, atol=1e-12)
+
+
+def test_taxis_rejects_a_drift_off_the_face_layout():
+    # numpy would broadcast a (ny,) drift over every x face without a word
+    g = Grid(8, 8)
+    u = np.ones(g.shape)
+    ax, ay = g.face_diff(u)
+    for bad in ((np.ones(g.ny), ay), (ay, ax), (ax, u), (u, u)):
+        with pytest.raises(ValueError, match="face_diff's layout"):
+            g.taxis_divergence(u, *bad)
 
 
 def test_taxis_upwind_first_order():
@@ -124,7 +134,7 @@ def test_taxis_upwind_first_order():
         phi = np.cos(np.pi * X)
         exact = -math.pi ** 2 * (np.cos(np.pi * X) * u
                                  - 0.25 * np.sin(np.pi * X) ** 2)
-        errs.append(np.max(np.abs(g.taxis_divergence(u, phi) - exact)))
+        errs.append(np.max(np.abs(g.taxis_divergence(u, *g.face_diff(phi)) - exact)))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(0.8 <= o <= 1.3 for o in orders)
 
@@ -194,10 +204,10 @@ def test_taxis_matches_min_max_donor_formula_bitwise():
         ref[1:, :] -= Fx / g.hx
         ref[:, :-1] += Fy / g.hy
         ref[:, 1:] -= Fy / g.hy
-        assert g.taxis_divergence(u, phi).tobytes() == ref.tobytes()
+        assert g.taxis_divergence(u, *g.face_diff(phi)).tobytes() == ref.tobytes()
         # precomputed faces give the same bytes and are left unchanged
         faces = g.face_diff(phi)
-        out = g.taxis_divergence(u, phi, faces=faces)
+        out = g.taxis_divergence(u, *faces)
         assert out.tobytes() == ref.tobytes()
         assert faces[0].tobytes() == ax.tobytes() and faces[1].tobytes() == ay.tobytes()
 
@@ -220,7 +230,7 @@ def test_taxis_matches_min_max_donor_formula_bitwise():
         ref[:, :-1] += Fy
         ref[:, 1:] -= Fy
         faces = (ax.copy(), ay.copy())
-        out = g.taxis_divergence(u, u, faces=faces)
+        out = g.taxis_divergence(u, *faces)
         assert out.tobytes() == ref.tobytes()
         assert faces[0].tobytes() == ax.tobytes() and faces[1].tobytes() == ay.tobytes()
 
@@ -231,7 +241,7 @@ def test_taxis_matches_min_max_donor_formula_bitwise():
     for zero in (0.0, -0.0):
         ax, ay = np.ones((g.nx - 1, g.ny)), np.ones((g.nx, g.ny - 1))
         ax[7, 5] = ay[7, 5] = zero        # faces with u[7, 5] on the low side
-        out = g.taxis_divergence(u, u, faces=(ax, ay))
+        out = g.taxis_divergence(u, ax, ay)
         assert np.all(np.isfinite(out))
 
 

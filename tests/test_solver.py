@@ -1,6 +1,7 @@
 """Time stepper: elliptic solve, CFL, splitting step, full runs."""
 
 import dataclasses
+import itertools
 import math
 import re
 
@@ -16,6 +17,7 @@ from chemohapto import (
     InitialData,
     InitialDataError,
     IteratedLogKinetics,
+    Kinetics,
     LogisticKinetics,
     ModelParams,
     Numerics,
@@ -140,6 +142,60 @@ def test_a_finite_overflow_guard_flags_the_blow_up_at_the_first_step():
     res = run(g, params, InitialData(u0=u0, w0=np.zeros(g.shape)), t_end=0.1,
               num=Numerics(dt_max=2e-3, overflow_guard=1e3))
     assert res.status == "diverged" and res.steps == 1
+
+
+def test_model_params_is_frozen_so_its_check_holds():
+    # a field set after construction used to skip __post_init__: chi = nan
+    # reached the spectral solve and surfaced as a solver RuntimeError
+    params = ModelParams(chi=1.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.chi = math.nan
+
+
+def test_a_nan_u_flags_the_first_step():
+    # the growth term s * a overflows to inf and so does the damping s^2, so
+    # the source is inf - inf = nan in every cell; nan fails max(u) <= guard,
+    # where a nan-blind max(u) > guard would pass it as ok
+    g = Grid(16, 16)
+    params = ModelParams(chi=0.0, xi=0.0, tau=0.0,
+                         kinetics=Kinetics(r=1.0, a=1e300, c=1.0))
+    ic = InitialData(u0=np.full(g.shape, 1e200), w0=np.zeros(g.shape))
+    with np.errstate(all="ignore"):
+        res = run(g, params, ic, t_end=0.1, num=Numerics(dt_max=1e-3))
+    assert res.status == "diverged" and res.steps == 1
+    assert np.all(np.isnan(res.final.u))
+
+
+_PROBE_SOURCES = (ZeroKinetics(), LogisticKinetics(1.0),
+                  PowerSubLogistic(1.0, 1.0, 0.5), IteratedLogKinetics(2, 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+@pytest.mark.parametrize("name", ["u", "v", "w"])
+def test_a_step_raises_or_returns_finite_v_and_w(name, bad):
+    # the divergence test reads only u: a non-finite u, v or w reaches a
+    # solve, whose residual guard raises, so a returned step has finite v
+    # and w, and max(u) <= guard decides as the finiteness of all three
+    # fields plus max(u) > guard did
+    g = Grid(8, 8)
+    X, Y = g.mesh()
+    fields = {"u": 1.0 + X, "v": 1.0 + Y, "w": 0.5 + 0.25 * X * Y}
+    fields[name][3, 4] = bad
+    num = Numerics()
+    for kin, tau, (chi, xi), dt in itertools.product(
+            _PROBE_SOURCES, (0.0, 1.0), ((1.0, 0.5), (0.0, 0.0), (1.0, 0.0)),
+            (1e-3, 1e3)):
+        params = ModelParams(chi=chi, xi=xi, tau=tau, kinetics=kin)
+        with np.errstate(all="ignore"):
+            try:
+                new = step(g, solver.State(t=0.0, **fields), params, dt, num)
+            except RuntimeError:
+                continue
+        assert np.all(np.isfinite(new.v)) and np.all(np.isfinite(new.w))
+        finite = all(np.all(np.isfinite(f)) for f in (new.u, new.v, new.w))
+        seven_pass = not finite or np.max(new.u) > num.overflow_guard
+        one_pass = not np.max(new.u) <= num.overflow_guard
+        assert (new.status == "diverged") == seven_pass == one_pass
 
 
 def test_model_params_rejects_a_non_kinetics_source():
@@ -422,9 +478,9 @@ def test_run_records_the_cfl_limited_dt_of_each_step():
 
 
 def _reference_step(g, state, params, dt, ref_f):
-    # the split step spelled out with taxis_divergence, which takes its own
-    # face differences of the taxis potential chi v + xi w, and the old
-    # source evaluation ref_f
+    # the split step spelled out with taxis_divergence, fed the face
+    # differences of the taxis potential chi v + xi w, and the old source
+    # evaluation ref_f
     u, v, w = state.u, state.v, state.w
     if params.tau == 0.0:
         v_new = solve_elliptic_v(g, u, solver.ELLIPTIC_TOL)
@@ -436,7 +492,7 @@ def _reference_step(g, state, params, dt, ref_f):
     w_new = w * np.exp(-dt * np.maximum(v_frozen, 0.0))
     phi = params.chi * v_new
     phi += params.xi * w_new
-    u_star = u - dt * g.taxis_divergence(u, phi)
+    u_star = u - dt * g.taxis_divergence(u, *g.face_diff(phi))
     u_dd = solver._cg_helmholtz(g, u_star, 1.0, dt, solver.ELLIPTIC_TOL)
     u_rx = u_dd
     if not params.kinetics.is_zero:
@@ -561,7 +617,7 @@ def test_step_properties_on_random_fields(seed, n, extra, chi, xi, tau, mu, frac
         ax, ay = g.face_diff(phi)
         speed = max(np.max(np.abs(ax), initial=0.0), np.max(np.abs(ay), initial=0.0))
         flux = np.max(u) * speed / min(g.hx, g.hy)
-        drift = abs(g.integrate(g.taxis_divergence(u, phi)))
+        drift = abs(g.integrate(g.taxis_divergence(u, ax, ay)))
         assert drift <= 64 * np.finfo(float).eps * flux * g.area
 
     if kin.is_zero:
