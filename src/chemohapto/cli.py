@@ -119,6 +119,7 @@ def _run_config(cfg: RunConfig, out: str) -> tuple:
         "steps": result.steps,
         "t_final": result.final.t,
         "diverged_t": result.diverged_t,
+        "extinct_t": result.extinct_t,
         "records": len(rec),
         "peak_linf_u": max(r.linf_u for r in rec),
         "final_mass": rec[-1].mass,

@@ -20,6 +20,12 @@ takes the face differences of that potential once, passes them to the
 donor-cell transport as its face drift, and takes from them the uncapped
 CFL bound, which it stores on the returned state with its own length:
 the next step's dt is that bound capped by dt_max and the time left.
+A step from an extinct carrier (u == 0 in every cell) skips the work whose
+result is known exactly: the donor-cell flux of u == 0 is 0, the diffusion
+solve and the elliptic chemical solve of 0 are 0, and the source is +-0 at
+u == 0, so u stays +0.0 and the clip removes nothing; it checks the face
+drift for finiteness instead, and raises where the full step's diffusion
+solve would have met 0 * a = nan.
 """
 
 from __future__ import annotations
@@ -163,7 +169,9 @@ class State:
     dt is the length of the step that made the state (0.0 at the start).
     cfl_dt is the transport bound of its taxis potential chi v + xi w with
     no cap, +inf where no face moves; initial_state and step fill it in,
-    and None means not yet computed.
+    and None means not yet computed.  A step from u == 0 gives u = +0.0
+    and clipped_mass 0.0, and at tau = 0 also v = +0.0 and the same w: the
+    bits of the full step, which step then skips.
     """
 
     t: float
@@ -250,6 +258,12 @@ def solve_elliptic_v(grid: Grid, u: np.ndarray,
 # stepping
 
 
+def _extinct(u: np.ndarray) -> bool:
+    # the carrier is zero in every cell; nan is not zero.  A stepped u is
+    # the clip's output, so its zeros are +0.0
+    return not u.any()
+
+
 def _taxis_potential(params: ModelParams, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     # chi v + xi w, whose gradient is the one velocity of the taxis flux
     phi = params.chi * v
@@ -292,14 +306,20 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
     grad(chi v_new + xi w_new), upwinded once per face.  The returned state
     carries dt, the mass removed by the terminal clip at zero and the
     uncapped CFL bound of its fields, taken from the face differences the
-    transport already used.
+    transport already used.  On u == 0 the transport, the diffusion solve,
+    the reaction and (tau = 0) the chemical solve are skipped, as their
+    results are 0 exactly; a non-finite face drift still raises
+    RuntimeError, as the diffusion solve of 0 * a would.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive, got {dt}")
     u, v, w = state.u, state.v, state.w
+    extinct = _extinct(u)
 
     if params.tau == 0.0:
-        v_new = v_frozen = _cg_helmholtz(grid, u, 1.0, 1.0, ELLIPTIC_TOL)
+        # the solve of u == 0 returns +0.0 in every cell
+        v_new = v_frozen = (np.zeros(grid.shape) if extinct
+                            else _cg_helmholtz(grid, u, 1.0, 1.0, ELLIPTIC_TOL))
     else:
         # implicit Euler: (tau/dt + 1 - Lap) v_new = (tau/dt) v + u
         v_new = _cg_helmholtz(grid, (params.tau / dt) * v + u, params.tau / dt + 1.0,
@@ -315,6 +335,15 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
     # one face_diff of the taxis potential serves the transport and the
     # face speed of the next CFL bound; the face arrays go before the solve
     ax, ay = grid.face_diff(_taxis_potential(params, v_new, w_new))
+    if extinct:
+        # the transport, diffusion and reaction of u == 0 give +0.0 in every
+        # cell and clip nothing; only a non-finite drift a, through 0 * a =
+        # nan, would have reached the diffusion solve's guard
+        if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
+            raise RuntimeError("taxis face drift is not finite")
+        cfl_dt = _cfl_bound(grid, _face_speed(ax, ay))
+        return State(t=state.t + dt, u=np.zeros(grid.shape), v=v_new, w=w_new,
+                     dt=dt, cfl_dt=cfl_dt)
     taxis = grid.taxis_divergence(u, ax, ay)
     taxis *= dt
     u_star = np.subtract(u, taxis, out=taxis)
@@ -355,6 +384,7 @@ class RunResult:
     final: Optional[State] = None
     status: str = "ok"
     diverged_t: Optional[float] = None
+    extinct_t: Optional[float] = None   # t of the first state with u == 0
     steps: int = 0
     clipped_mass: float = 0.0     # total removed by the clip, over every step
 
@@ -400,6 +430,8 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
         state = step(grid, prev, params, min(prev.cfl_dt, num.dt_max, t_end - prev.t), num)
         result.steps += 1
         result.clipped_mass += state.clipped_mass
+        if result.extinct_t is None and _extinct(state.u):
+            result.extinct_t = state.t
         if state.status != "ok" or state.t >= min(next_obs, t_end) - tiny:
             result.records.append(diagnostics.make_record(grid, params, prev, state, consts))
             next_obs = observe_interval * (math.floor((state.t + tiny) / observe_interval) + 1)

@@ -327,6 +327,19 @@ def test_run_homogeneous_minimal(tmp_path, capsys):
     assert rep["classification"]["label"] == "bounded_plateau"
 
 
+def test_run_reports_when_the_cells_die_out(tmp_path):
+    # iterlog k = 2 has f(0+) = -mu e, so its cells die out in finite time;
+    # k = 1 keeps them alive
+    ini = os.path.join(CONFIGS, "iterlog-tau0.ini")
+    k1 = write_ini(tmp_path, open(ini).read().replace("\nk = 2 ", "\nk = 1 "))
+    for path, out in ((ini, tmp_path / "k2"), (k1, tmp_path / "k1")):
+        assert cli_main(["run", path, "--out", str(out)]) == 0
+    k2 = json.load(open(tmp_path / "k2" / "report.json"))["run"]
+    assert k2["extinct_t"] == pytest.approx(0.666, abs=1e-3)
+    assert k2["final_mass"] == 0.0
+    assert json.load(open(tmp_path / "k1" / "report.json"))["run"]["extinct_t"] is None
+
+
 def _run_in_child(tmp_path, observe_every):
     body = BASE.format(out=tmp_path / "obs").replace(
         "t_end = 0.1", f"t_end = 0.05\nobserve_every = {observe_every}")

@@ -1,5 +1,6 @@
 """Time stepper: elliptic solve, CFL, splitting step, full runs."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -196,6 +197,26 @@ def test_a_step_raises_or_returns_finite_v_and_w(name, bad):
         seven_pass = not finite or np.max(new.u) > num.overflow_guard
         one_pass = not np.max(new.u) <= num.overflow_guard
         assert (new.status == "diverged") == seven_pass == one_pass
+    if name == "u":
+        return
+    # an extinct carrier skips the transport, whose 0 * a is nan for a
+    # non-finite face drift a; the step checks the drift itself, so a bad w
+    # (and at tau > 0 a bad v) raises at chi = 1, xi = 0.5, dt = 1e-3 as
+    # the full step does
+    fields["u"] = np.zeros(g.shape)
+    for kin, tau, (chi, xi), dt in itertools.product(
+            _PROBE_SOURCES, (0.0, 1.0), ((1.0, 0.5), (0.0, 0.0), (1.0, 0.0)),
+            (1e-3, 1e3)):
+        params = ModelParams(chi=chi, xi=xi, tau=tau, kinetics=kin)
+        must_raise = (chi, xi) == (1.0, 0.5) and dt == 1e-3 and (name == "w" or tau > 0)
+        with np.errstate(all="ignore"):
+            try:
+                new = step(g, solver.State(t=0.0, **fields), params, dt, num)
+            except RuntimeError:
+                continue
+        assert not must_raise
+        assert new.status == "ok" and not new.u.any()
+        assert np.all(np.isfinite(new.v)) and np.all(np.isfinite(new.w))
 
 
 def test_model_params_rejects_a_non_kinetics_source():
@@ -515,6 +536,8 @@ STEP_SOURCES = (ZeroKinetics(), LogisticKinetics(1.0), LogisticKinetics(30.0),
        tau=st.sampled_from([0.0, 0.5, 2.0]), kin=st.sampled_from(STEP_SOURCES),
        empty=st.sampled_from([0.2, 0.8, 0.95, 1.0]), dt=st.floats(1e-5, 1e-2))
 @example(seed=0, n=20, chi=1.0, xi=0.5, tau=0.0, kin=STEP_SOURCES[4], empty=0.8, dt=1e-2)
+@example(seed=0, n=20, chi=1.0, xi=0.5, tau=0.0, kin=STEP_SOURCES[5], empty=1.0, dt=1e-2)
+@example(seed=0, n=20, chi=1.0, xi=0.5, tau=2.0, kin=STEP_SOURCES[1], empty=1.0, dt=1e-2)
 def test_step_matches_reference_step_bitwise(ref_f, seed, n, chi, xi, tau, kin, empty, dt):
     g = Grid(n, n + 3)
     rng = np.random.default_rng(seed)
@@ -532,6 +555,45 @@ def test_step_matches_reference_step_bitwise(ref_f, seed, n, chi, xi, tau, kin, 
     assert new.w.tobytes() == w_ref.tobytes()
     assert new.clipped_mass == clipped_ref
     assert min(new.cfl_dt, 1.0) == dt_cfl(g, params, new.v, new.w, 1.0)
+
+
+@pytest.mark.parametrize("tau, solves", [(0.0, 0), (2.0, 1)])
+def test_an_extinct_step_skips_the_transport_the_solves_and_the_reaction(
+        monkeypatch, tau, solves):
+    calls = collections.Counter()
+    for owner, name in ((solver, "_cg_helmholtz"), (Grid, "taxis_divergence"),
+                        (Kinetics, "f")):
+        def counted(*args, _inner=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    g = Grid(12, 12)
+    X, Y = g.mesh()
+    params = ModelParams(chi=1.0, xi=0.5, tau=tau, kinetics=IteratedLogKinetics(3, 2.5))
+    state = solver.State(t=0.0, u=np.zeros(g.shape), v=1.0 + Y, w=0.5 + 0.25 * X * Y)
+    new = step(g, state, params, 1e-2)
+    # only the implicit chemical solve of tau > 0 is left
+    assert calls["_cg_helmholtz"] == solves
+    assert calls["taxis_divergence"] == calls["f"] == 0
+    assert new.u.tobytes() == np.zeros(g.shape).tobytes()
+    assert new.status == "ok" and new.clipped_mass == 0.0
+    # one live cell runs the whole step
+    calls.clear()
+    state.u[5, 5] = 1.0
+    step(g, state, params, 1e-2)
+    assert calls == {"_cg_helmholtz": 2, "taxis_divergence": 1, "f": 1}
+
+
+def test_run_extinct_t_is_the_t_of_the_first_empty_state():
+    # iterlog k = 3 has f(0+) = -inf and kills the cells within a few steps;
+    # every step is recorded
+    g = Grid(12, 12)
+    params = ModelParams(chi=1.0, xi=0.5, tau=0.0, kinetics=IteratedLogKinetics(3, 2.5))
+    res = run(g, params, bump_ic(g, mass=1.0), t_end=0.05, num=Numerics(dt_max=1e-3),
+              observe_interval=1e-9)
+    empty = [r.t for r in res.records if r.linf_u == 0.0]
+    assert 0.0 < res.extinct_t == empty[0] < 0.05
+    assert [r.t for r in res.records if r.t >= res.extinct_t] == empty
 
 
 def test_homogeneous_state_is_stationary():
