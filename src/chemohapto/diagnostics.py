@@ -202,12 +202,12 @@ def make_record(grid, params, prev, state, consts) -> DiagnosticsRecord:
 # exp(t) for t <= -748 is below 2^-1079 and rounds to +0 (gn_constant_estimate)
 _EXP_ZERO_BELOW = -748.0
 
-# gn_constant_estimate skips an anchor bump whose separable ratio, widened
-# by _BOUND_MARGIN, does not beat the running best.  The bound is trusted
-# only for a peak of at least _BOUND_MIN_PEAK and when every sum it is
-# built from, with and without the cell area, lies in [_BOUND_MIN_SUM, inf):
-# there a grid lane that underflows or overflows cannot move a norm by
-# more than rounding.
+# gn_constant_estimate skips an anchor bump or a cosine mode whose separable
+# ratio, widened by _BOUND_MARGIN, does not beat the running best.  The
+# bound is trusted only for a peak of at least _BOUND_MIN_PEAK and when
+# every sum it is built from, with and without the cell area, lies in
+# [_BOUND_MIN_SUM, inf): there a grid lane that underflows or overflows
+# cannot move a norm by more than rounding.
 _BOUND_MARGIN = 1e-9
 _BOUND_MIN_PEAK = 1e-30
 _BOUND_MIN_SUM = 2.0 ** -960
@@ -229,15 +229,46 @@ def _gaussian_bump(grid: Grid, cx: float, cy: float, log_sigma: float,
     return phi
 
 
+def _axis_sums(f: np.ndarray, h: float, orders) -> tuple:
+    """Per row of f (cells along the last axis): the peak, {s: sum(f^s)}
+    for s in orders, and the sum of squared face differences over h."""
+    diff = np.diff(f, axis=-1) / h
+    return (f.max(axis=-1), {s: (f ** s).sum(axis=-1) for s in orders},
+            (diff * diff).sum(axis=-1))
+
+
+def _separable_bound(grid: Grid, p: float, q: float, sp, sq, sg, peak) -> tuple:
+    """(bound, safe) of test fields phi given by 1-D sums.
+
+    sp, sq and sg are the sums over the cells of phi^p, phi^q and of the
+    squared face differences over h, without the cell area, and peak is
+    max phi.  bound is the ratio gn_constant_estimate takes, built from
+    them; safe marks where it may stand in for the ratio of the grid field:
+    bound is finite, peak is at least _BOUND_MIN_PEAK and every sum, with
+    and without the cell area, lies in [_BOUND_MIN_SUM, inf).  A nan sum is
+    never safe.
+    """
+    delta = _gn_delta(p, q)
+    cell = grid.cell_area
+    with np.errstate(all="ignore"):
+        bound = (cell * sp) ** (1.0 / p) / (
+            (cell * sg) ** (0.5 * delta) * (cell * sq) ** ((1.0 - delta) / q)
+            + (cell * sq) ** (1.0 / q))
+        safe = np.isfinite(bound) & (peak >= _BOUND_MIN_PEAK)
+        for s in (sp, sq, sg):
+            for v in (s, cell * s):
+                safe &= (v >= _BOUND_MIN_SUM) & (v < math.inf)
+    return bound, safe
+
+
 def _anchor_bumps(grid: Grid, p: float, q: float) -> list:
     """(cx, cy, log_sigma, bound, safe) of the 54 anchor bumps of
     gn_constant_estimate, in the order it visits them.
 
     bound is a bump's ratio built from the 1-D sums of its factors a(x)
     and b(y), O(nx + ny) work; safe marks the bumps on which it may stand
-    in for the ratio of the grid field (see gn_constant_estimate).
+    in for the ratio of the grid field (_separable_bound).
     """
-    delta = _gn_delta(p, q)
     fracs = (0.0, 0.5, 1.0)
     log_sigs = [math.log(s) for s in np.geomspace(
         max(grid.hx, grid.hy), 0.25 * min(grid.Lx, grid.Ly), 6)]
@@ -245,12 +276,9 @@ def _anchor_bumps(grid: Grid, p: float, q: float) -> list:
     s2 = np.array([2.0 * math.exp(ls) * math.exp(ls) for ls in log_sigs])
 
     def axis(x, L, h):
-        # (anchor, width, cell) factors; per (anchor, width): peak, sums, G
+        # per (anchor, width): peak, sums and G of the factor over the cells
         d = (x - np.array([f * L for f in fracs])[:, None]) ** 2
-        a = np.exp(-d[:, None, :] / s2[:, None])
-        diff = np.diff(a, axis=-1) / h
-        return (a.max(axis=-1), {s: (a ** s).sum(axis=-1) for s in {p, q, 2.0}},
-                (diff * diff).sum(axis=-1))
+        return _axis_sums(np.exp(-d[:, None, :] / s2[:, None]), h, {p, q, 2.0})
 
     with np.errstate(all="ignore"):
         peak_a, sums_a, g_a = axis(grid.x, grid.Lx, grid.hx)
@@ -260,21 +288,81 @@ def _anchor_bumps(grid: Grid, p: float, q: float) -> list:
             # (x anchor, y anchor, width)
             return fa[:, None, :] * fb[None, :, :]
 
-        cell = grid.cell_area
         sp, sq = (outer(sums_a[s], sums_b[s]) for s in (p, q))
         sg = outer(g_a, sums_b[2.0]) + outer(sums_a[2.0], g_b)
-        bound = (cell * sp) ** (1.0 / p) / (
-            (cell * sg) ** (0.5 * delta) * (cell * sq) ** ((1.0 - delta) / q)
-            + (cell * sq) ** (1.0 / q))
-        safe = np.isfinite(bound) & (outer(peak_a, peak_b) >= _BOUND_MIN_PEAK)
-        for s in (sp, sq, sg):
-            for v in (s, cell * s):
-                safe &= (v >= _BOUND_MIN_SUM) & (v < math.inf)
+        bound, safe = _separable_bound(grid, p, q, sp, sq, sg, outer(peak_a, peak_b))
 
     bounds, safes = bound.tolist(), safe.tolist()
     return [(fx * grid.Lx, fy * grid.Ly, ls, bounds[i][j][w], safes[i][j][w])
             for i, fx in enumerate(fracs) for j, fy in enumerate(fracs)
             for w, ls in enumerate(log_sigs)]
+
+
+# the cosine modes |cos(i pi x / Lx) cos(j pi y / Ly) + c| of
+# gn_constant_estimate: (i, j) pairs and offsets c, in the order it visits them
+_MODE_INDICES = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1))
+_MODE_OFFSETS = (0.0, 0.5, 1.0)
+# the highest integer order whose sum over a mode with an offset is expanded
+# binomially; the rounding argument of gn_constant_estimate holds up to here
+_BINOMIAL_MAX_ORDER = 8
+
+
+def _cosine_modes(grid: Grid, p: float, q: float) -> list:
+    """(i, j, c, bound, safe) of the 18 cosine modes of
+    gn_constant_estimate, in the order it visits them.
+
+    bound is a mode's ratio built from 1-D sums over the cosines
+    a = cos(i pi x / Lx) and b = cos(j pi y / Ly), and safe marks the modes
+    on which it may stand in for the ratio of the grid field, as for the
+    anchor bumps.  The norms factor when the mode is |a + c| times 1
+    (j = 0) or 1 times |b + c| (i = 0), when it is |a| |b| (c = 0), and,
+    for integer p and q up to _BINOMIAL_MAX_ORDER, when it is a b + c with
+    c >= max|a| max|b| and a or b of odd index; any other mode gets a nan
+    bound, which is never safe.
+    """
+    binomial = (float(p).is_integer() and float(q).is_integer()
+                and p <= _BINOMIAL_MAX_ORDER)
+    orders = {p, q, 2.0} | (set(range(0, int(p) + 1, 2)) if binomial else set())
+
+    def axis(x, L, h):
+        # per (index, offset): peak, sums and G of |cos + c| over the cells;
+        # per index: G of the cosine itself
+        cos = np.array([np.cos(i * math.pi * x / L) for i in range(3)])
+        diff = np.diff(cos, axis=-1) / h
+        f = np.abs(cos[:, None, :] + np.array(_MODE_OFFSETS)[:, None])
+        return (*_axis_sums(f, h, orders), (diff * diff).sum(axis=-1))
+
+    rows = []
+    with np.errstate(all="ignore"):
+        peak_a, sums_a, g_a, graw_a = axis(grid.x, grid.Lx, grid.hx)
+        peak_b, sums_b, g_b, graw_b = axis(grid.y, grid.Ly, grid.hy)
+        for i, j in _MODE_INDICES:
+            for k, c in enumerate(_MODE_OFFSETS):
+                if i == 0 or j == 0 or c == 0.0:
+                    # a product of 1-D factors; cos 0 = 1, and row (0, 0)
+                    # is the factor |1 + 0| = 1
+                    ea, eb = (i, k if j == 0 else 0), (j, k if i == 0 else 0)
+                    sp, sq = (sums_a[s][ea] * sums_b[s][eb] for s in (p, q))
+                    sg = g_a[ea] * sums_b[2.0][eb] + sums_a[2.0][ea] * g_b[eb]
+                    peak = peak_a[ea] * peak_b[eb]
+                elif (binomial and (i % 2 or j % 2)
+                      and c >= peak_a[i, 0] * peak_b[j, 0]):
+                    # a b + c >= 0, and the odd power sums of an odd-index
+                    # cosine vanish: sum (a b + c)^s = sum over even n of
+                    # C(s, n) c^(s - n) sum(a^n) sum(b^n)
+                    sp, sq = (sum(math.comb(int(s), n) * c ** (s - n)
+                                  * sums_a[n][i, 0] * sums_b[n][j, 0]
+                                  for n in range(0, int(s) + 1, 2))
+                              for s in (p, q))
+                    sg = graw_a[i] * sums_b[2.0][j, 0] + sums_a[2.0][i, 0] * graw_b[j]
+                    peak = c
+                else:
+                    sp = sq = sg = peak = math.nan
+                rows.append((sp, sq, sg, peak))
+    bound, safe = _separable_bound(grid, p, q, *np.array(rows, dtype=float).T)
+    bounds, safes = bound.tolist(), safe.tolist()
+    modes = [(i, j, c) for i, j in _MODE_INDICES for c in _MODE_OFFSETS]
+    return [(*m, b, s) for m, b, s in zip(modes, bounds, safes)]
 
 
 def gn_constant_estimate(grid: Grid, p: float, q: float) -> float:
@@ -293,32 +381,55 @@ def gn_constant_estimate(grid: Grid, p: float, q: float) -> float:
     cell centers: the same per-element operations as on the 2-D meshes,
     with nx + ny cosines in place of 2*nx*ny.
 
-    Most anchor bumps are never built.  A bump exp(-|x - c|^2 / 2 sigma^2)
-    is a(x) b(y), so its ratio factors into 1-D sums (_anchor_bumps):
+    Most members of the family are never built.  The ratio of a product
+    phi = a(x) b(y) factors into 1-D sums:
     ||phi||_s^s = hx hy sum(a^s) sum(b^s) for s = p, q, and
     ||grad phi||_2^2 = hx hy (G_a sum(b^2) + sum(a^2) G_b) with G the sum
-    of squared face differences over h.  A bump is skipped when this
-    separable ratio times 1 + _BOUND_MARGIN (1e-9) is at most the running
-    best.  The margin dominates the rounding that separates the two
-    ratios: each grid value exp(t) has an exponent of at most 748 in
+    of squared face differences over h.  Every anchor bump
+    exp(-|x - c|^2 / 2 sigma^2) is such a product (_anchor_bumps), and so
+    are 14 of the 18 cosine modes |a b + c|, a = cos(i pi x / Lx) and
+    b = cos(j pi y / Ly) (_cosine_modes): at i = 0 or j = 0 the mode is
+    the 1-D field |a + c| or |b + c| times 1, and at c = 0 it is |a| |b|.
+    Two more factor at c = 1 >= max|a| max|b|, where the mode is
+    a b + c >= 0 with the gradient of a b: for integer p and q up to
+    _BINOMIAL_MAX_ORDER (8) the sum of (a b + c)^s expands binomially
+    into the terms C(s, n) c^(s - n) sum(a^n) sum(b^n).  Both have the
+    odd index j = 1, whose cosine is antisymmetric about the middle of its
+    axis, so its odd power sums cancel in exact arithmetic: only the even
+    n are summed, and every term is nonnegative.  A member is skipped when
+    its separable ratio times 1 + _BOUND_MARGIN (1e-9) is at most the
+    running best.
+
+    The margin dominates the rounding that separates the two ratios.  A
+    grid value exp(t) of a bump has an exponent of at most 748 in
     magnitude, rounded once where the separable product rounds its two
-    parts, so the values differ by a few 1e-13 relative at most; the
-    norms are pairwise sums of nonnegative terms, which keep that
-    relative error; and on the face differences, which may cancel, it
-    grows by at most a factor of about sigma/h.  Over 70 geometries (4 to
-    2048 cells a side, sides from 1e-300 to 1e300) the two ratios of a
-    trusted bump differed by at most 1.6e-12.  The bound is trusted
-    (safe) where it is finite, the separable peak max(a) max(b) is at
-    least _BOUND_MIN_PEAK (1e-30) and every sum lies in
-    [_BOUND_MIN_SUM, inf).  Far below that peak the grid's powers of the
-    bump go subnormal (the 4th power of 1e-80 is 1e-320), where rounding
-    is absolute rather than relative and the argument above fails.  Every other bump, a nan bound included, is
-    built and normed on the grid.  A skipped bump's grid ratio cannot
-    exceed the running best, so it could not have replaced best or
-    best_params: the value, the pattern search and its start are those
-    of the unpruned sweep, bit for bit.  On the unit square the
-    constant's floor 1.0 beats every bump, and an estimate builds 19 grid
-    fields instead of 73.
+    parts, so the values differ by a few 1e-13 relative at most; a grid
+    value of a mode rounds once or twice more than its 1-D factors.  The
+    norms are pairwise sums of nonnegative terms, which keep that relative
+    error, and on the face differences, which may cancel, it grows by at
+    most a factor of about sigma/h for a bump and L/h for a mode.  The
+    binomial terms are nonnegative sums too, and the odd power sums of the
+    computed cosines, which are not exactly antisymmetric, leave at most
+    about s 2^(s-1) eps of the total out, 2.3e-13 at s = 8.  Over 70
+    geometries (4 to 2048 cells a side, sides from 1e-300 to 1e300) the
+    two ratios of a trusted bump differed by at most 1.6e-12; over 76
+    such geometries and six order pairs, (4, 2) and (3, 1) among them,
+    those of a trusted mode differed by at most 4.4e-15.
+
+    The bound is trusted (safe) where it is finite, the separable peak
+    (max(a) max(b) for a product, c for a binomial mode) is at least
+    _BOUND_MIN_PEAK (1e-30) and every sum lies in [_BOUND_MIN_SUM, inf)
+    (_separable_bound).  Far below that peak the grid's powers of a bump
+    go subnormal (the 4th power of 1e-80 is 1e-320), where rounding is
+    absolute rather than relative and the argument above fails.  Every
+    other member, a nan bound included, is built and normed on the grid:
+    so are the two modes |a b + 1/2| with i, j >= 1, which change sign.
+    A skipped member's grid ratio cannot exceed the running best, so it
+    could not have replaced best or best_params: the value, the pattern
+    search and its start are those of the unpruned sweep, bit for bit.  On
+    the unit square the constant's floor 1.0 beats every bump and every
+    mode that factors, and an estimate builds 3 grid fields instead of 73:
+    the constant and the modes (1, 1) and (2, 1) at c = 1/2.
 
     On the far tails of narrow bumps exp and the norms' powers underflow,
     and libm's underflow paths are slow.  They are skipped without
@@ -343,11 +454,12 @@ def gn_constant_estimate(grid: Grid, p: float, q: float) -> float:
 
     best = ratio(np.ones((grid.nx, grid.ny)))
 
-    for i, j in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)):
+    for i, j, c, bound, safe in _cosine_modes(grid, p, q):
+        if safe and bound * (1.0 + _BOUND_MARGIN) <= best:
+            continue
         mode = (np.cos(i * math.pi * grid.x / grid.Lx)[:, None]
                 * np.cos(j * math.pi * grid.y / grid.Ly)[None, :])
-        for c in (0.0, 0.5, 1.0):
-            best = max(best, ratio(np.abs(mode + c)))
+        best = max(best, ratio(np.abs(mode + c)))
 
     best_params = None
     for cx, cy, log_sig, bound, safe in _anchor_bumps(grid, p, q):

@@ -272,9 +272,10 @@ def _taxis_potential(params: ModelParams, v: np.ndarray, w: np.ndarray) -> np.nd
 
 
 def _face_speed(ax: np.ndarray, ay: np.ndarray) -> float:
-    # largest |a| over the interior faces of both axes, from face_diff;
-    # overwrites its arguments, which callers no longer need
-    return max(0.0, *(float(np.max(np.abs(a, out=a))) for a in (ax, ay)))
+    # largest |a| over the interior faces of both axes, from face_diff, and
+    # nan if any face's is; overwrites its arguments, which callers no
+    # longer need
+    return float(np.maximum(*(np.max(np.abs(a, out=a)) for a in (ax, ay))))
 
 
 # Courant number of the transport step at the largest face speed
@@ -290,10 +291,13 @@ def _cfl_bound(grid: Grid, speed: float) -> float:
 def dt_cfl(grid: Grid, params: ModelParams, v: np.ndarray, w: np.ndarray,
            dt_max: float) -> float:
     """Transport stability bound CFL_SAFETY * min(h) / max |d phi/dn| of the
-    taxis potential phi = chi v + xi w, capped by dt_max > 0 (inf: no cap)."""
+    taxis potential phi = chi v + xi w, capped by dt_max > 0 (inf: no cap).
+    A face speed that is nan or inf bounds nothing and raises ValueError."""
     if not dt_max > 0:
         raise ValueError(f"dt_max must be positive, got {dt_max}")
     speed = _face_speed(*grid.face_diff(_taxis_potential(params, v, w)))
+    if not speed < math.inf:
+        raise ValueError(f"taxis face speed must be finite, got {speed}")
     return min(dt_max, _cfl_bound(grid, speed))
 
 

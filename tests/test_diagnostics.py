@@ -30,6 +30,7 @@ from chemohapto.diagnostics import (
     _BOUND_MARGIN,
     DiagnosticsRecord,
     _anchor_bumps,
+    _cosine_modes,
     _gaussian_bump,
 )
 from chemohapto.io import read_series, write_series
@@ -326,6 +327,11 @@ GN_GEOMETRIES = (
     # a bump beats the floor, so the pruning runs against a raised best and
     # the pattern search follows
     (24, 24, 4.0, 4.0),
+    # thin domains: a cosine mode beats the constant, so the later modes and
+    # the bumps are pruned against a mode's ratio
+    (8, 8, 0.05, 100.0),
+    (8, 8, 100.0, 0.05),
+    (32, 32, 0.001, 1000.0),
 )
 
 
@@ -367,10 +373,47 @@ def test_gn_separable_bound_dominates_grid_ratio(ref_grid, nx, ny, log_lx,
     assert est.hex() == _ref_gn_constant_estimate(ref_grid(*shape), p, q, q).hex()
 
 
+def _mode_field(g, i, j, c):
+    # the cosine mode gn_constant_estimate builds on the grid
+    return np.abs(np.cos(i * math.pi * g.x / g.Lx)[:, None]
+                  * np.cos(j * math.pi * g.y / g.Ly)[None, :] + c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(4, 48), ny=st.integers(4, 48),
+       log_lx=st.floats(-3.0, 3.0), log_ly=st.floats(-3.0, 3.0),
+       pq=st.sampled_from([(4, 2), (3, 1)]))
+def test_gn_separable_mode_bound_dominates_grid_ratio(nx, ny, log_lx, log_ly, pq):
+    # a cosine mode marked safe may be skipped, so its grid ratio must not
+    # exceed the widened bound; the bound is that ratio up to rounding, and
+    # the two modes |a b + 1/2| are never safe
+    p, q = pq
+    g = Grid(nx, ny, 10.0 ** log_lx, 10.0 ** log_ly)
+    for i, j, c, bound, safe in _cosine_modes(g, p, q):
+        assert safe == ((i, j, c) not in ((1, 1, 0.5), (2, 1, 0.5))), (i, j, c)
+        if safe:
+            val = _grid_ratio(g, _mode_field(g, i, j, c), p, q)
+            assert val <= bound * (1.0 + _BOUND_MARGIN), (i, j, c)
+            assert abs(val - bound) <= 1e-12 * val, (i, j, c)
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 0.05, 100.0), (32, 32, 0.001, 1000.0)])
+def test_gn_thin_domain_geometries_have_a_mode_above_the_floor(shape):
+    # what GN_GEOMETRIES' thin domains are there for: a mode's grid ratio
+    # beats the constant's, so the pruning runs against a mode
+    g = Grid(*shape)
+    for p, q in ((4, 2), (3, 1)):
+        floor = _grid_ratio(g, np.ones(g.shape), p, q)
+        modes = [_grid_ratio(g, _mode_field(g, i, j, c), p, q)
+                 for i, j, c, _, _ in _cosine_modes(g, p, q)]
+        assert max(modes) > floor, (p, q)
+
+
 @pytest.mark.parametrize("n", [32, 128])
 def test_gn_estimate_skips_every_bump_on_the_unit_square(monkeypatch, n):
-    # the constant's floor 1.0 beats every bump's bound, so only the
-    # constant and the 18 cosine modes are normed on the grid (73 unpruned)
+    # the constant's floor 1.0 beats every bump's bound and that of every
+    # mode that factors, so only the constant and the two modes |a b + 1/2|
+    # are normed on the grid (73 unpruned)
     calls = []
     grad_norm = Grid.grad_norm
 
@@ -380,7 +423,24 @@ def test_gn_estimate_skips_every_bump_on_the_unit_square(monkeypatch, n):
 
     monkeypatch.setattr(Grid, "grad_norm", counted)
     assert gn_constant_estimate(Grid(n, n), 4, 2) == 1.0
-    assert len(calls) == 19
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_gn_estimate_norms_the_constant_and_two_offset_modes_on_the_unit_square(
+        monkeypatch, n):
+    fields = []
+    grad_norm = Grid.grad_norm
+
+    def recorded(self, f, q):
+        fields.append(f.tobytes())
+        return grad_norm(self, f, q)
+
+    monkeypatch.setattr(Grid, "grad_norm", recorded)
+    g = Grid(n, n)
+    gn_constant_estimate(g, 4, 2)
+    expected = [np.ones(g.shape), _mode_field(g, 1, 1, 0.5), _mode_field(g, 2, 1, 0.5)]
+    assert fields == [f.tobytes() for f in expected]
 
 
 def test_gn_estimate_bump_witness_pinned():

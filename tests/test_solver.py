@@ -425,6 +425,21 @@ def test_dt_cfl_formula():
     assert dt_cfl(g, params, flat, flat, dt_max=0.125) == 0.125
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_dt_cfl_raises_on_a_non_finite_face_speed(bad):
+    # v = x moves every face at speed 1, so dt_cfl gives 0.4 / 8; one nan
+    # cell used to read as no speed (inf) and one inf cell as dt 0.0
+    g = Grid(8, 8)
+    X, _ = g.mesh()
+    params = ModelParams(chi=1.0, xi=0.0, tau=1.0, kinetics=ZeroKinetics())
+    w = np.zeros(g.shape)
+    assert dt_cfl(g, params, X, w, math.inf) == 0.05
+    v = X.copy()
+    v[3, 4] = bad
+    with pytest.raises(ValueError, match="face speed must be finite"):
+        dt_cfl(g, params, v, w, math.inf)
+
+
 def test_opposing_drifts_cancel_in_the_one_taxis_velocity():
     # chi v + xi w = x + (1 - x) = 1 exactly at the dyadic cell centres, so
     # chemotaxis and haptotaxis cancel on every face and nothing limits dt
