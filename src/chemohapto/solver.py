@@ -339,20 +339,22 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
     # one face_diff of the taxis potential serves the transport and the
     # face speed of the next CFL bound; the face arrays go before the solve
     ax, ay = grid.face_diff(_taxis_potential(params, v_new, w_new))
+    if not extinct:
+        taxis = grid.taxis_divergence(u, ax, ay)
+        taxis *= dt
+        u_star = np.subtract(u, taxis, out=taxis)
+    speed = _face_speed(ax, ay)
+    cfl_dt = _cfl_bound(grid, speed)
+    del ax, ay
     if extinct:
         # the transport, diffusion and reaction of u == 0 give +0.0 in every
         # cell and clip nothing; only a non-finite drift a, through 0 * a =
-        # nan, would have reached the diffusion solve's guard
-        if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
+        # nan, would have reached the diffusion solve's guard, and then the
+        # face speed is nan or inf
+        if not speed < math.inf:
             raise RuntimeError("taxis face drift is not finite")
-        cfl_dt = _cfl_bound(grid, _face_speed(ax, ay))
         return State(t=state.t + dt, u=np.zeros(grid.shape), v=v_new, w=w_new,
                      dt=dt, cfl_dt=cfl_dt)
-    taxis = grid.taxis_divergence(u, ax, ay)
-    taxis *= dt
-    u_star = np.subtract(u, taxis, out=taxis)
-    cfl_dt = _cfl_bound(grid, _face_speed(ax, ay))
-    del ax, ay
     u_dd = _cg_helmholtz(grid, u_star, 1.0, dt, ELLIPTIC_TOL)
     if params.kinetics.is_zero:
         u_rx = u_dd

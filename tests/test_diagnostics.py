@@ -28,10 +28,12 @@ from chemohapto import (
 )
 from chemohapto.diagnostics import (
     _BOUND_MARGIN,
+    _GN_P_MAX,
+    _MODE_INDICES,
+    _MODE_OFFSETS,
     DiagnosticsRecord,
-    _anchor_bumps,
-    _cosine_modes,
     _gaussian_bump,
+    _gn_family,
 )
 from chemohapto.io import read_series, write_series
 
@@ -228,6 +230,12 @@ def test_gn_estimate_is_a_witness():
     assert est >= g.norm(f, 4) / den - 1e-12
 
 
+# grids on which orders past the cap overflowed the norms (p = 1e6) or
+# divided by zero (p = inf) before it was set
+_GN_CAP_GEOMETRIES = ((16, 16, 1.0, 1.0), (24, 24, 4.0, 4.0), (5, 9, 1e-3, 7.0),
+                      (8, 8, 0.05, 100.0))
+
+
 def test_gn_estimate_validation():
     g = Grid(16, 16)
     with pytest.raises(ValueError):
@@ -238,6 +246,19 @@ def test_gn_estimate_validation():
     for p, q in ((math.nan, 2), (4, math.nan)):
         with pytest.raises(ValueError):
             gn_constant_estimate(g, p, q)
+    for shape in _GN_CAP_GEOMETRIES:
+        for p, q in ((1e6, 1), (1e6, 2), (math.inf, 2), (1024, 2),
+                     (math.nextafter(_GN_P_MAX, math.inf), 2)):
+            with pytest.raises(ValueError, match="256 >= p > q >= 1"):
+                gn_constant_estimate(Grid(*shape), p, q)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gn_estimate_is_finite_at_the_order_cap():
+    for shape in _GN_CAP_GEOMETRIES:
+        for q in (1, 2):
+            est = gn_constant_estimate(Grid(*shape), _GN_P_MAX, q)
+            assert 0.0 < est < math.inf, (shape, q)
 
 
 # gn_constant_estimate as it stood before it skipped the lanes that round
@@ -354,47 +375,58 @@ def _grid_ratio(grid, phi, p, q):
     return num_ / (grid.grad_norm(phi, 2) ** delta * nq ** (1 - delta) + nq)
 
 
-@settings(max_examples=60, deadline=None)
-@given(nx=st.integers(4, 48), ny=st.integers(4, 48),
-       log_lx=st.floats(-3.0, 3.0), log_ly=st.floats(-3.0, 3.0),
-       pq=st.sampled_from([(4, 2), (3, 1)]))
-def test_gn_separable_bound_dominates_grid_ratio(ref_grid, nx, ny, log_lx,
-                                                  log_ly, pq):
-    # a bump marked safe may be skipped, so its grid ratio must not exceed
-    # the widened bound; the estimate stays the unpruned one bit for bit
-    p, q = pq
-    shape = (nx, ny, 10.0 ** log_lx, 10.0 ** log_ly)
-    g = Grid(*shape)
-    for cx, cy, log_sig, bound, safe in _anchor_bumps(g, p, q):
-        if safe:
-            val = _grid_ratio(g, _gaussian_bump(g, cx, cy, log_sig, 0.0), p, q)
-            assert val <= bound * (1.0 + _BOUND_MARGIN), (cx, cy, log_sig)
-    est = gn_constant_estimate(g, p, q)
-    assert est.hex() == _ref_gn_constant_estimate(ref_grid(*shape), p, q, q).hex()
-
-
 def _mode_field(g, i, j, c):
     # the cosine mode gn_constant_estimate builds on the grid
     return np.abs(np.cos(i * math.pi * g.x / g.Lx)[:, None]
                   * np.cos(j * math.pi * g.y / g.Ly)[None, :] + c)
 
 
+# the modes of gn_constant_estimate's family in the order it visits them,
+# the constant first as the mode (0, 0) at c = 0
+_FAMILY_MODES = [(0, 0, 0.0)] + [(i, j, c) for i, j in _MODE_INDICES for c in _MODE_OFFSETS]
+
+
 @settings(max_examples=60, deadline=None)
 @given(nx=st.integers(4, 48), ny=st.integers(4, 48),
        log_lx=st.floats(-3.0, 3.0), log_ly=st.floats(-3.0, 3.0),
        pq=st.sampled_from([(4, 2), (3, 1)]))
-def test_gn_separable_mode_bound_dominates_grid_ratio(nx, ny, log_lx, log_ly, pq):
-    # a cosine mode marked safe may be skipped, so its grid ratio must not
-    # exceed the widened bound; the bound is that ratio up to rounding, and
-    # the two modes |a b + 1/2| are never safe
+def test_gn_separable_bound_dominates_grid_ratio(ref_grid, nx, ny, log_lx,
+                                                  log_ly, pq):
+    # a member marked safe may be skipped, so its grid ratio must not exceed
+    # the widened bound; a mode's bound is that ratio up to rounding, the
+    # constant and the two modes |a b + 1/2| are never safe, and the
+    # estimate stays the unpruned one bit for bit
     p, q = pq
-    g = Grid(nx, ny, 10.0 ** log_lx, 10.0 ** log_ly)
-    for i, j, c, bound, safe in _cosine_modes(g, p, q):
-        assert safe == ((i, j, c) not in ((1, 1, 0.5), (2, 1, 0.5))), (i, j, c)
+    shape = (nx, ny, 10.0 ** log_lx, 10.0 ** log_ly)
+    g = Grid(*shape)
+    X, Y = g.mesh()
+    # the anchor bumps and widths of _ref_gn_constant_estimate, in its order
+    bumps = [[fx * g.Lx, fy * g.Ly, math.log(sig), 0.0]
+             for fx in (0.0, 0.5, 1.0) for fy in (0.0, 0.5, 1.0)
+             for sig in np.geomspace(max(g.hx, g.hy), 0.25 * min(g.Lx, g.Ly), 6)]
+    rows = _gn_family(g, p, q)
+    assert len(rows) == len(_FAMILY_MODES) + len(bumps)
+    for n, (build, start, bound, safe) in enumerate(rows):
+        phi = build()
+        if n < len(_FAMILY_MODES):
+            member = _FAMILY_MODES[n]
+            assert start is None
+            assert phi.tobytes() == _mode_field(g, *member).tobytes(), member
+            assert safe == (member not in ((0, 0, 0.0), (1, 1, 0.5), (2, 1, 0.5))), member
+        else:
+            member = tuple(start)
+            assert start == bumps[n - len(_FAMILY_MODES)]
+            cx, cy, log_sig, _ = start
+            sig = math.exp(log_sig)
+            ref = np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * sig * sig))
+            assert phi.tobytes() == ref.tobytes(), member
         if safe:
-            val = _grid_ratio(g, _mode_field(g, i, j, c), p, q)
-            assert val <= bound * (1.0 + _BOUND_MARGIN), (i, j, c)
-            assert abs(val - bound) <= 1e-12 * val, (i, j, c)
+            val = _grid_ratio(g, phi, p, q)
+            assert val <= bound * (1.0 + _BOUND_MARGIN), member
+            if start is None:
+                assert abs(val - bound) <= 1e-12 * val, member
+    est = gn_constant_estimate(g, p, q)
+    assert est.hex() == _ref_gn_constant_estimate(ref_grid(*shape), p, q, q).hex()
 
 
 @pytest.mark.parametrize("shape", [(8, 8, 0.05, 100.0), (32, 32, 0.001, 1000.0)])
@@ -403,10 +435,9 @@ def test_gn_thin_domain_geometries_have_a_mode_above_the_floor(shape):
     # beats the constant's, so the pruning runs against a mode
     g = Grid(*shape)
     for p, q in ((4, 2), (3, 1)):
-        floor = _grid_ratio(g, np.ones(g.shape), p, q)
-        modes = [_grid_ratio(g, _mode_field(g, i, j, c), p, q)
-                 for i, j, c, _, _ in _cosine_modes(g, p, q)]
-        assert max(modes) > floor, (p, q)
+        constant, *modes = [_grid_ratio(g, build(), p, q)
+                            for build, _, _, _ in _gn_family(g, p, q)[:len(_FAMILY_MODES)]]
+        assert max(modes) > constant, (p, q)
 
 
 @pytest.mark.parametrize("n", [32, 128])
