@@ -386,16 +386,29 @@ def _mode_field(g, i, j, c):
 _FAMILY_MODES = [(0, 0, 0.0)] + [(i, j, c) for i, j in _MODE_INDICES for c in _MODE_OFFSETS]
 
 
+_FAMILY_GEOMETRY = dict(nx=st.integers(4, 48), ny=st.integers(4, 48),
+                        log_lx=st.floats(-3.0, 3.0), log_ly=st.floats(-3.0, 3.0),
+                        pq=st.sampled_from([(4, 2), (3, 1)]))
+
+
+def _check_safe_bound(g, phi, p, q, bound, safe, member):
+    # a member marked safe may be skipped, so its grid ratio must not exceed
+    # the widened bound; returns that ratio, or None for a member never safe
+    if not safe:
+        return None
+    val = _grid_ratio(g, phi, p, q)
+    assert val <= bound * (1.0 + _BOUND_MARGIN), member
+    return val
+
+
 @settings(max_examples=60, deadline=None)
-@given(nx=st.integers(4, 48), ny=st.integers(4, 48),
-       log_lx=st.floats(-3.0, 3.0), log_ly=st.floats(-3.0, 3.0),
-       pq=st.sampled_from([(4, 2), (3, 1)]))
+@given(**_FAMILY_GEOMETRY)
 def test_gn_separable_bound_dominates_grid_ratio(ref_grid, nx, ny, log_lx,
                                                   log_ly, pq):
-    # a member marked safe may be skipped, so its grid ratio must not exceed
-    # the widened bound; a mode's bound is that ratio up to rounding, the
-    # constant and the two modes |a b + 1/2| are never safe, and the
-    # estimate stays the unpruned one bit for bit
+    # the anchor bumps, the rows after the modes in gn_constant_estimate's
+    # table: each is the Gaussian of _ref_gn_constant_estimate, a safe one's
+    # bound dominates its grid ratio, and the estimate stays the unpruned
+    # one bit for bit
     p, q = pq
     shape = (nx, ny, 10.0 ** log_lx, 10.0 ** log_ly)
     g = Grid(*shape)
@@ -406,27 +419,37 @@ def test_gn_separable_bound_dominates_grid_ratio(ref_grid, nx, ny, log_lx,
              for sig in np.geomspace(max(g.hx, g.hy), 0.25 * min(g.Lx, g.Ly), 6)]
     rows = _gn_family(g, p, q)
     assert len(rows) == len(_FAMILY_MODES) + len(bumps)
-    for n, (build, start, bound, safe) in enumerate(rows):
+    for (build, start, bound, safe), ref_start in zip(rows[len(_FAMILY_MODES):], bumps):
+        member = tuple(ref_start)
+        assert start == ref_start
+        cx, cy, log_sig, _ = start
+        sig = math.exp(log_sig)
+        ref = np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * sig * sig))
         phi = build()
-        if n < len(_FAMILY_MODES):
-            member = _FAMILY_MODES[n]
-            assert start is None
-            assert phi.tobytes() == _mode_field(g, *member).tobytes(), member
-            assert safe == (member not in ((0, 0, 0.0), (1, 1, 0.5), (2, 1, 0.5))), member
-        else:
-            member = tuple(start)
-            assert start == bumps[n - len(_FAMILY_MODES)]
-            cx, cy, log_sig, _ = start
-            sig = math.exp(log_sig)
-            ref = np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * sig * sig))
-            assert phi.tobytes() == ref.tobytes(), member
-        if safe:
-            val = _grid_ratio(g, phi, p, q)
-            assert val <= bound * (1.0 + _BOUND_MARGIN), member
-            if start is None:
-                assert abs(val - bound) <= 1e-12 * val, member
+        assert phi.tobytes() == ref.tobytes(), member
+        _check_safe_bound(g, phi, p, q, bound, safe, member)
     est = gn_constant_estimate(g, p, q)
     assert est.hex() == _ref_gn_constant_estimate(ref_grid(*shape), p, q, q).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_FAMILY_GEOMETRY)
+def test_gn_separable_mode_bound_dominates_grid_ratio(nx, ny, log_lx, log_ly, pq):
+    # the cosine modes, the first rows of gn_constant_estimate's table in the
+    # order it visits them: a safe mode's bound is its grid ratio up to
+    # rounding, and the constant and the two modes |a b + 1/2| are never safe
+    p, q = pq
+    g = Grid(nx, ny, 10.0 ** log_lx, 10.0 ** log_ly)
+    rows = _gn_family(g, p, q)[:len(_FAMILY_MODES)]
+    assert len(rows) == len(_FAMILY_MODES)
+    for (build, start, bound, safe), member in zip(rows, _FAMILY_MODES):
+        assert start is None
+        phi = build()
+        assert phi.tobytes() == _mode_field(g, *member).tobytes(), member
+        assert safe == (member not in ((0, 0, 0.0), (1, 1, 0.5), (2, 1, 0.5))), member
+        val = _check_safe_bound(g, phi, p, q, bound, safe, member)
+        if val is not None:
+            assert abs(val - bound) <= 1e-12 * val, member
 
 
 @pytest.mark.parametrize("shape", [(8, 8, 0.05, 100.0), (32, 32, 0.001, 1000.0)])
