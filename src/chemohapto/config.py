@@ -101,10 +101,6 @@ _SCHEMA = {
     },
 }
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
-
 def _locate(text: str, section: str, key: Optional[str] = None) -> str:
     """Best-effort 'line N' tag for error messages, empty when unknown."""
     if not text:
@@ -215,7 +211,7 @@ def _parse(sections: dict, origin: str, text: str, sec: str, keys=None) -> dict:
             if spec.lo is not None and val < spec.lo:
                 raise bad(f"must be an integer >= {spec.lo}", val)
         elif spec.kind == "boolean":
-            val = _BOOLEANS.get(str(raw).strip().lower())
+            val = configparser.ConfigParser.BOOLEAN_STATES.get(str(raw).strip().lower())
             if val is None:
                 raise bad("must be a boolean (1/0/true/false/yes/no)")
         else:

@@ -4,13 +4,16 @@ the matrix curvature bound, and interpolation-inequality checks.
 The energy identity is the discrete counterpart of
 
     d/dt int H(u) + int (2h' + z h'') |grad u|^2
-        = chi int grad Phi(u) . grad v + xi int grad Phi(u) . grad w
+        = int grad Phi(u) . grad(chi v + xi w)
           + int (h(z) + z h'(z)) f(u, w),        z = u + shift,
 
 shared by the plain entropy density H = u log u (shift 0) and the
-slow-growth densities H = (u + E_m) iterlog_m(u + E_m).  Both sides are
-evaluated with face differences on the midpoint of a performed step, so
-the residual measures how closely one split step honors the identity.
+slow-growth densities H = (u + E_m) iterlog_m(u + E_m).  Chemotaxis and
+haptotaxis enter as one drift, the gradient of the taxis potential
+chi v + xi w that the step moves the cells by (ModelParams.taxis_potential).
+Both sides are evaluated with face differences on the midpoint of a
+performed step, so the residual measures how closely one split step
+honors the identity.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ def identity_residual(grid: Grid, params, prev, state, m: Optional[int] = None) 
         raise ValueError(f"dt must be positive, got {dt}")
     u0, u1 = prev.u, state.u
     um = 0.5 * (u0 + u1)
-    vm = 0.5 * (prev.v + state.v)
     wm = 0.5 * (prev.w + state.w)
 
     if m is None:
@@ -93,10 +95,11 @@ def identity_residual(grid: Grid, params, prev, state, m: Optional[int] = None) 
         def diss_weight(z):
             return shifted_log_weight(m, z)
 
-        carrier = um * (um + shift) * shifted_log_deriv(m, um) - shift * (
-            iter_log(m, um + shift) - 1.0
-        )
-        rweight = iter_log(m, um + shift) + (um + shift) * shifted_log_deriv(m, um)
+        z = um + shift
+        lg = iter_log(m, z)
+        dlg = shifted_log_deriv(m, um)
+        carrier = um * z * dlg - shift * (lg - 1.0)
+        rweight = lg + z * dlg
 
     dux, duy = grid.face_diff(um)
     ux, uy = grid.face_means(um)
@@ -106,8 +109,10 @@ def identity_residual(grid: Grid, params, prev, state, m: Optional[int] = None) 
     )
     lhs = (H1 - H0) / dt + dissipation
 
-    rhs = (params.chi * grid.dirichlet_energy(carrier, vm)
-           + params.xi * grid.dirichlet_energy(carrier, wm))
+    # the midpoint chemical is read only through the potential, so it is
+    # freed before the energy's face differences are taken
+    phi = params.taxis_potential(0.5 * (prev.v + state.v), wm)
+    rhs = grid.dirichlet_energy(carrier, phi)
     rhs += grid.integrate(rweight * params.kinetics.f(um, wm))
     return abs(lhs - rhs)
 
@@ -429,23 +434,38 @@ def gn_constant_estimate(grid: Grid, p: float, q: float) -> float:
     smallest subnormal, so the skipped lanes keep the +0 that exp rounds
     to.  Grid.norm skips its powers the same way, so every field, every
     ratio and the returned value equal those of the unmasked formulas.
+
+    A field that is built, or one of its norms, must not overflow a
+    double: near the float range the ratios are inf or nan, and a bump's
+    squared distance that overflows to inf reads as a tail it is not.  An
+    overflow raises ValueError.  Since no member exceeds 3, the sum in
+    its p-norm is at most |Omega| 3^p: on a 1e154 x 1e154 square (area
+    1e308) the 4-norm of the mode (1, 0) at c = 1, which peaks at 2,
+    overflows, while on the 1e153 square every member stays finite.
     """
     if not (q >= 1 and q < p <= _GN_P_MAX):
         raise ValueError(f"need {_GN_P_MAX:g} >= p > q >= 1, got p={p}, q={q}")
     delta = _gn_delta(p, q)
 
-    def ratio(phi: np.ndarray) -> float:
-        num_ = grid.norm(phi, p)
-        if num_ == 0.0:
-            return 0.0
-        nq = grid.norm(phi, q)
-        return num_ / (grid.grad_norm(phi, 2) ** delta * nq ** (1 - delta) + nq)
+    def ratio(build) -> float:
+        # the ratio of the field build() makes
+        try:
+            with np.errstate(over="raise"):
+                phi = build()
+                num_ = grid.norm(phi, p)
+                if num_ == 0.0:
+                    return 0.0
+                nq = grid.norm(phi, q)
+                return num_ / (grid.grad_norm(phi, 2) ** delta * nq ** (1 - delta) + nq)
+        except FloatingPointError:
+            raise ValueError(f"C_GN's test fields overflow a double on the "
+                             f"{grid.Lx:g} x {grid.Ly:g} domain") from None
 
     best, best_params = 0.0, None
     for build, start, bound, safe in _gn_family(grid, p, q):
         if safe and bound * (1.0 + _BOUND_MARGIN) <= best:
             continue
-        val = ratio(build())
+        val = ratio(build)
         if val > best:
             best, best_params = val, start
 
@@ -460,7 +480,7 @@ def gn_constant_estimate(grid: Grid, p: float, q: float) -> float:
                     trial[idx] += sgn * steps[idx]
                     if trial[3] < 0.0:
                         continue
-                    val = ratio(_gaussian_bump(grid, *trial))
+                    val = ratio(functools.partial(_gaussian_bump, grid, *trial))
                     if val > best:
                         best = val
                         best_params = trial

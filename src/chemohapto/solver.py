@@ -15,11 +15,13 @@ its residual and raises when it misses the target or is not finite.  A
 non-finite u, v or w reaches one of those solves, so a returned step has
 finite v and w, and its divergence test reads only u: the state is
 flagged when max u is not <= the overflow guard.  The cells move with
-one velocity, the gradient of the taxis potential chi v + xi w: the step
-takes the face differences of that potential once, passes them to the
-donor-cell transport as its face drift, and takes from them the uncapped
-CFL bound, which it stores on the returned state with its own length:
-the next step's dt is that bound capped by dt_max and the time left.
+one velocity, the gradient of the taxis potential chi v + xi w, which
+ModelParams.taxis_potential forms for the step, dt_cfl and the energy
+identity alike.  The step takes the face differences of that potential
+once, passes them to the donor-cell transport as its face drift, and
+takes from them the uncapped CFL bound, which it stores on the returned
+state with its own length: the next step's dt is that bound capped by
+dt_max and the time left.
 A step from an extinct carrier (u == 0 in every cell) skips the work whose
 result is known exactly: the donor-cell flux of u == 0 is 0, the diffusion
 solve and the elliptic chemical solve of 0 are 0, and the source is +-0 at
@@ -67,6 +69,14 @@ class ModelParams:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not isinstance(self.kinetics, Kinetics):
             raise ValueError("kinetics must be a Kinetics instance")
+
+    def taxis_potential(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """chi v + xi w, whose gradient is the one velocity of the taxis
+        flux: the step's transport and CFL bound and the energy identity's
+        drift term all read it from here."""
+        phi = self.chi * v
+        phi += self.xi * w
+        return phi
 
 
 # relative residual of every solve of a step, or the rounding floor of
@@ -264,13 +274,6 @@ def _extinct(u: np.ndarray) -> bool:
     return not u.any()
 
 
-def _taxis_potential(params: ModelParams, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # chi v + xi w, whose gradient is the one velocity of the taxis flux
-    phi = params.chi * v
-    phi += params.xi * w
-    return phi
-
-
 def _face_speed(ax: np.ndarray, ay: np.ndarray) -> float:
     # largest |a| over the interior faces of both axes, from face_diff, and
     # nan if any face's is; overwrites its arguments, which callers no
@@ -295,7 +298,7 @@ def dt_cfl(grid: Grid, params: ModelParams, v: np.ndarray, w: np.ndarray,
     A face speed that is nan or inf bounds nothing and raises ValueError."""
     if not dt_max > 0:
         raise ValueError(f"dt_max must be positive, got {dt_max}")
-    speed = _face_speed(*grid.face_diff(_taxis_potential(params, v, w)))
+    speed = _face_speed(*grid.face_diff(params.taxis_potential(v, w)))
     if not speed < math.inf:
         raise ValueError(f"taxis face speed must be finite, got {speed}")
     return min(dt_max, _cfl_bound(grid, speed))
@@ -338,7 +341,7 @@ def step(grid: Grid, state: State, params: ModelParams, dt: float,
 
     # one face_diff of the taxis potential serves the transport and the
     # face speed of the next CFL bound; the face arrays go before the solve
-    ax, ay = grid.face_diff(_taxis_potential(params, v_new, w_new))
+    ax, ay = grid.face_diff(params.taxis_potential(v_new, w_new))
     if not extinct:
         taxis = grid.taxis_divergence(u, ax, ay)
         taxis *= dt

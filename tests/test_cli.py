@@ -947,6 +947,29 @@ def test_check_rejects_sides_whose_area_overflows_or_underflows(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("side, code", [("1e154", 2), ("1e153", 0)])
+def test_check_on_a_domain_near_the_float_range_prints_no_warnings(tmp_path, capsys,
+                                                                  side, code):
+    # at 1e154 check used to exit 0 with C_GN = inf and rhs 0 in its report,
+    # after numpy overflow warnings from Grid.norm and from a bump's exponent
+    with open(os.path.join(CONFIGS, "homogeneous-minimal.ini")) as fh:
+        text = fh.read()
+    out = tmp_path / "huge"
+    ini = write_ini(tmp_path, text.replace("[grid]\n", f"[grid]\nlx = {side}\nly = {side}\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["check", ini, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err == ("error: C_GN's test fields overflow a double on the "
+                       "1e+154 x 1e+154 domain\n")
+        assert not out.exists()
+    else:
+        assert err == ""
+        rep = json.loads((out / "report.json").read_text())["threshold"]
+        assert rep["cgn"] == 1.7888543819998322e-76 and rep["m1"] == 1e306
+
+
 @pytest.mark.parametrize("kind, body, grid, code", [
     ("logistic", "mu = 1e300", "nx = 8\nny = 8", 0),
     ("sublog_loglog", "a = 1e300\nb = 0.3", "nx = 8\nny = 8\nlx = 1e100", 2),

@@ -1,6 +1,7 @@
 """Functionals, energy-identity residual, interpolation-constant estimates."""
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -21,9 +22,12 @@ from chemohapto import (
     gn_constant_estimate,
     identity_residual,
     initial_state,
+    iter_log,
     log_gn_check,
     matrix_decay_violation,
     plateau_ratio,
+    shifted_log_deriv,
+    shifted_log_weight,
     step,
 )
 from chemohapto.diagnostics import (
@@ -143,6 +147,52 @@ def test_identity_residual_halves_under_refinement():
     assert errs[1] < 0.5 * errs[0]
 
 
+def _ref_identity_residual(g, params, prev, state, m):
+    # the residual spelled out, its taxis term one Dirichlet energy of the
+    # step's potential chi v + xi w at the midpoint fields
+    um = 0.5 * (prev.u + state.u)
+    vm = 0.5 * (prev.v + state.v)
+    wm = 0.5 * (prev.w + state.w)
+    dux, duy = g.face_diff(um)
+    ux, uy = g.face_means(um)
+    if m is None:
+        H0, H1 = entropy(g, prev.u), entropy(g, state.u)
+        wx, wy = (1.0 / np.maximum(a, 1e-30) for a in (ux, uy))
+        carrier = um
+        rweight = np.log(np.maximum(um, 1e-30)) + 1.0
+    else:
+        H0, H1 = g_functional(g, prev.u, m), g_functional(g, state.u, m)
+        wx, wy = (shifted_log_weight(m, a) for a in (ux, uy))
+        shift = e_tower(m)
+        z = um + shift
+        carrier = um * z * shifted_log_deriv(m, um) - shift * (iter_log(m, z) - 1.0)
+        rweight = iter_log(m, z) + z * shifted_log_deriv(m, um)
+    dissipation = float((wx * dux ** 2).sum() + (wy * duy ** 2).sum()) * g.cell_area
+    lhs = (H1 - H0) / state.dt + dissipation
+    rhs = g.dirichlet_energy(carrier, params.taxis_potential(vm, wm))
+    rhs += g.integrate(rweight * params.kinetics.f(um, wm))
+    return abs(lhs - rhs)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0])
+def test_identity_taxis_term_is_one_dirichlet_energy_of_the_potential(tau):
+    g = Grid(24, 20)
+    rng = np.random.default_rng(11)
+    X, Y = g.mesh()
+    params = ModelParams(chi=1.3, xi=0.7, tau=tau, kinetics=LogisticKinetics(1.0))
+    ic = InitialData(u0=1.0 + 0.5 * rng.random(g.shape),
+                     w0=0.4 + 0.2 * np.cos(np.pi * X) * np.cos(2 * np.pi * Y),
+                     v0=0.5 + 0.3 * np.sin(np.pi * X) * Y)
+    st0, st1 = _one_step(g, params, ic, 1e-3)
+    # the potential is chi v followed by += xi w, the bits the step moves by
+    phi = params.chi * st1.v
+    phi += params.xi * st1.w
+    assert params.taxis_potential(st1.v, st1.w).tobytes() == phi.tobytes()
+    for m in (None, 1, 2):
+        r = identity_residual(g, params, st0, st1, m=m)
+        assert r == _ref_identity_residual(g, params, st0, st1, m), m
+
+
 # ---------------------------------------------------------------- bounds
 
 
@@ -259,6 +309,23 @@ def test_gn_estimate_is_finite_at_the_order_cap():
         for q in (1, 2):
             est = gn_constant_estimate(Grid(*shape), _GN_P_MAX, q)
             assert 0.0 < est < math.inf, (shape, q)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gn_estimate_rejects_a_domain_whose_test_fields_overflow():
+    # on the 1e154 square the estimate used to be inf, after numpy overflow
+    # warnings from Grid.norm and from a bump's exponent; on the 1e-155
+    # square the squared face differences of every mode overflowed, and
+    # their ratios read 0
+    for side in (1e154, 1e-155):
+        for p, q in ((4.0, 2.0), (3.0, 1.0)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"C_GN's test fields overflow a double on the {side:g} x {side:g} domain")):
+                gn_constant_estimate(Grid(8, 8, side, side), p, q)
+    # every member on the 1e153 square is finite, and so are the estimates
+    g = Grid(8, 8, 1e153, 1e153)
+    assert gn_constant_estimate(g, 4.0, 2.0).hex() == "0x1.4b6a9281032d3p-253"
+    assert gn_constant_estimate(g, 3.0, 1.0).hex() == "0x1.94806f7b9fd13p-674"
 
 
 # gn_constant_estimate as it stood before it skipped the lanes that round

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -26,6 +27,8 @@ from chemohapto import (
     ZeroKinetics,
     compatibility_constant,
     dt_cfl,
+    entropy,
+    g_functional,
     identity_residual,
     initial_state,
     mass_cap,
@@ -570,6 +573,54 @@ def test_step_matches_reference_step_bitwise(ref_f, seed, n, chi, xi, tau, kin, 
     assert new.w.tobytes() == w_ref.tobytes()
     assert new.clipped_mass == clipped_ref
     assert min(new.cfl_dt, 1.0) == dt_cfl(g, params, new.v, new.w, 1.0)
+
+
+def _mirror_step(g, params, fields, dt, image):
+    # one step from the image of the fields, and its identity residuals
+    prev = solver.State(t=0.0, **{k: np.ascontiguousarray(image(f))
+                                  for k, f in fields.items()})
+    new = step(g, prev, params, dt)
+    return new, [identity_residual(g, params, prev, new, m=m) for m in (None, 1)]
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0])
+def test_one_step_commutes_with_the_symmetries_of_the_square(tau):
+    # a sign or index slip in the taxis potential, the transport or the
+    # identity's drift breaks one of these
+    g = Grid(32, 32)
+    rng = np.random.default_rng(32)
+    fields = {k: rng.random(g.shape) for k in "uvw"}
+    params = ModelParams(chi=1.3, xi=0.7, tau=tau, kinetics=LogisticKinetics(1.0))
+    dt = dt_cfl(g, params, fields["v"], fields["w"], 1e-2)
+    new, res = _mirror_step(g, params, fields, dt, lambda f: f)
+    # the residual subtracts (H1 - H0) / dt from the other terms, so it
+    # agrees to the rounding of that quotient, not of itself
+    scale = [r + (abs(H(fields["u"])) + abs(H(new.u))) / dt for r, H in
+             zip(res, (functools.partial(entropy, g),
+                       lambda u: g_functional(g, u, 1)))]
+
+    def close(a, b, ref):
+        return abs(a - b) <= 1e-13 * ref
+
+    # the x-flip reverses the first axis, and every bit of the step with it
+    def flip_x(f):
+        return f[::-1, :]
+
+    mirror, mres = _mirror_step(g, params, fields, dt, flip_x)
+    for k in "uvw":
+        assert getattr(mirror, k).tobytes() == flip_x(getattr(new, k)).tobytes(), k
+    assert mirror.cfl_dt == new.cfl_dt
+    assert all(close(a, b, s) for a, b, s in zip(mres, res, scale)), (mres, res)
+    # the y-flip, the half turn and the transpose agree to rounding
+    for name, image in (("y-flip", lambda f: f[:, ::-1]),
+                        ("half turn", lambda f: f[::-1, ::-1]),
+                        ("transpose", lambda f: f.T)):
+        mirror, mres = _mirror_step(g, params, fields, dt, image)
+        for k in "uvw":
+            ref = getattr(new, k)
+            assert close(getattr(mirror, k), image(ref), np.max(np.abs(ref))).all(), (name, k)
+        assert close(mirror.cfl_dt, new.cfl_dt, new.cfl_dt), name
+        assert all(close(a, b, s) for a, b, s in zip(mres, res, scale)), (name, mres, res)
 
 
 @pytest.mark.parametrize("tau, solves", [(0.0, 0), (2.0, 1)])
