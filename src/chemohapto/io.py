@@ -131,14 +131,21 @@ def _colors(t: np.ndarray) -> np.ndarray:
     return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
 
 
+def _xml_text(s: str) -> str:
+    # what xml.sax.saxutils.escape does, without the urllib and ssl imports
+    # that module brings into every command
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def field_svg(grid: Grid, f: np.ndarray, title: str = "") -> str:
     """Self-contained SVG heatmap of one field (inline rects, no deps).
 
     Fields finer than 128 cells per axis are block-averaged first to keep
     file sizes sane; a trailing block that the block size does not fill is
     the mean of the cells it has.  The data range is printed under the
-    title.  The range covers the finite drawn cells only; non-finite ones
-    are painted red and counted in the range line.
+    title, which is written as text: &, < and > are escaped.  The range
+    covers the finite drawn cells only; non-finite ones are painted red and
+    counted in the range line.
     """
     grid.check_shape(f)
     g = np.asarray(f, dtype=float)
@@ -172,7 +179,7 @@ def field_svg(grid: Grid, f: np.ndarray, title: str = "") -> str:
         f'height="{h_px + head}" viewBox="0 0 {w_px} {h_px + head}">',
         f'<rect width="{w_px}" height="{h_px + head}" fill="white"/>',
         f'<text x="{pad}" y="16" font-family="monospace" font-size="13">'
-        f'{title}</text>',
+        f'{_xml_text(title)}</text>',
         f'<text x="{pad}" y="30" font-family="monospace" font-size="11" '
         f'fill="#555">range [{lo:.6g}, {hi:.6g}]{note}</text>',
     ]

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -38,8 +39,10 @@ from chemohapto.diagnostics import (
     DiagnosticsRecord,
     _gaussian_bump,
     _gn_family,
+    make_record,
 )
 from chemohapto.io import read_series, write_series
+from chemohapto.solver import DerivedConstants
 
 
 # ---------------------------------------------------------------- entropy
@@ -191,6 +194,41 @@ def test_identity_taxis_term_is_one_dirichlet_energy_of_the_potential(tau):
     for m in (None, 1, 2):
         r = identity_residual(g, params, st0, st1, m=m)
         assert r == _ref_identity_residual(g, params, st0, st1, m), m
+
+
+def _traced_peak(fn):
+    # bytes allocated above the traced level at entry, after a warm-up call
+    fn()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0])
+def test_a_record_allocates_no_more_than_a_step(tau):
+    # each space term of the identity frees its arrays once summed, so a
+    # record (8 fields at 64^2) stays under the step it follows (9 at
+    # tau = 0, 10 at tau = 1)
+    g = Grid(64, 64)
+    X, Y = g.mesh()
+    params = ModelParams(chi=0.5, xi=0.25, tau=tau, kinetics=LogisticKinetics(1.0))
+    ic = InitialData(u0=1.0 + np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.03),
+                     w0=0.4 + 0.1 * np.cos(np.pi * X) * np.cos(np.pi * Y))
+    num = Numerics(dt_max=1e-3)
+    st0, st1 = _one_step(g, params, ic, num.dt_max)
+    consts = DerivedConstants.from_ic(g, ic)
+    record = _traced_peak(lambda: make_record(g, params, st0, st1, consts))
+    stepped = _traced_peak(lambda: step(g, st1, params, num.dt_max, num))
+    assert record <= stepped, (record, stepped)
+    # the shifted-log weight's temporaries take that identity to 13
+    # fields; keeping z, lg and dlg alive past the carrier puts it near 16
+    field = g.nx * g.ny * 8
+    assert _traced_peak(lambda: identity_residual(g, params, st0, st1, m=1)) < 15 * field
 
 
 # ---------------------------------------------------------------- bounds

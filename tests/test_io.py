@@ -1,10 +1,11 @@
 """Field dumps: rejected malformations.  Series tables: exact bytes.  SVG
-heatmaps: byte-stable output and non-finite fields."""
+heatmaps: byte-stable output, non-finite fields and well-formed titles."""
 
 import hashlib
 import math
 import re
 from dataclasses import fields
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -108,6 +109,13 @@ def test_field_svg_paints_non_finite_cells():
     everything_bad = field_svg(g, np.full(g.shape, -np.inf))
     assert "range [nan, nan]; 64 non-finite cells in red" in everything_bad
     assert everything_bad.count('fill="#ff0000"') == 64
+
+
+def test_field_svg_title_with_markup_characters_is_well_formed():
+    title = "u & v <test>"
+    root = ElementTree.fromstring(field_svg(Grid(8, 8), np.ones((8, 8)), title=title))
+    texts = root.findall("{http://www.w3.org/2000/svg}text")
+    assert texts[0].text == title
 
 
 def _fills(svg):
