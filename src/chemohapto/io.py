@@ -137,16 +137,10 @@ def _xml_text(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def field_svg(grid: Grid, f: np.ndarray, title: str = "") -> str:
-    """Self-contained SVG heatmap of one field (inline rects, no deps).
-
-    Fields finer than 128 cells per axis are block-averaged first to keep
-    file sizes sane; a trailing block that the block size does not fill is
-    the mean of the cells it has.  The data range is printed under the
-    title, which is written as text: &, < and > are escaped.  The range
-    covers the finite drawn cells only; non-finite ones are painted red and
-    counted in the range line.
-    """
+def _svg_chunks(grid: Grid, f: np.ndarray, title: str):
+    """The heatmap's text in pieces: the header lines, then one column of
+    cells per piece, then the closing tag; every piece after the first
+    starts with the newline that separates it from the one before."""
     grid.check_shape(f)
     g = np.asarray(f, dtype=float)
     nx, ny = g.shape
@@ -169,12 +163,13 @@ def field_svg(grid: Grid, f: np.ndarray, title: str = "") -> str:
     fills[~finite] = _NONFINITE_RGB
     bad = g.size - values.size
     note = f"; {bad} non-finite cells in red" if bad else ""
+    del g, finite, values           # the cells below need their fills only
 
     w_px, h_px = 560, 560
     pad, head = 10, 34
     cw = (w_px - 2 * pad) / gnx
     ch = (h_px - 2 * pad) / gny
-    parts = [
+    yield "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_px}" '
         f'height="{h_px + head}" viewBox="0 0 {w_px} {h_px + head}">',
         f'<rect width="{w_px}" height="{h_px + head}" fill="white"/>',
@@ -182,23 +177,37 @@ def field_svg(grid: Grid, f: np.ndarray, title: str = "") -> str:
         f'{_xml_text(title)}</text>',
         f'<text x="{pad}" y="30" font-family="monospace" font-size="11" '
         f'fill="#555">range [{lo:.6g}, {hi:.6g}]{note}</text>',
-    ]
+    ])
     # SVG y grows downward; flip so j=0 sits at the bottom edge
     ys = [f'{head + pad + (gny - 1 - j) * ch:.2f}' for j in range(gny)]
     size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
     for i in range(gnx):
         x = f'{pad + i * cw:.2f}'
-        parts.extend(
-            f'<rect x="{x}" y="{y}" {size} fill="#{c:06x}"/>'
+        yield "".join(
+            f'\n<rect x="{x}" y="{y}" {size} fill="#{c:06x}"/>'
             for y, c in zip(ys, fills[i].tolist())
         )
-    parts.append("</svg>")
-    return "\n".join(parts)
+    yield "\n</svg>"
+
+
+def field_svg(grid: Grid, f: np.ndarray, title: str = "") -> str:
+    """Self-contained SVG heatmap of one field (inline rects, no deps).
+
+    Fields finer than 128 cells per axis are block-averaged first to keep
+    file sizes sane; a trailing block that the block size does not fill is
+    the mean of the cells it has.  The data range is printed under the
+    title, which is written as text: &, < and > are escaped.  The range
+    covers the finite drawn cells only; non-finite ones are painted red and
+    counted in the range line.
+    """
+    return "".join(_svg_chunks(grid, f, title))
 
 
 def write_field_svg(path: str, grid: Grid, f: np.ndarray, title: str = "") -> None:
+    """Write field_svg(grid, f, title) to path a column of cells at a time,
+    so the whole document is never held in memory."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(field_svg(grid, f, title))
+        fh.writelines(_svg_chunks(grid, f, title))
 
 
 def ensure_dir(path: str) -> str:

@@ -62,9 +62,12 @@ def shifted_log_deriv(m: int, z):
     hence strictly positive for z > 0.
     """
     y = np.asarray(z, dtype=float) + e_tower(m)
-    prod = np.ones_like(y)
-    for i in range(m):
-        prod = prod * iter_log(i, y)
+    # each log is taken once, from the one before; the product starts at
+    # its first term, iter_log(0, y) = y, since 1.0 * y == y
+    prod, lg = (y if m else np.ones_like(y)), y
+    for _ in range(1, m):
+        lg = iter_log(1, lg)
+        prod *= lg
     out = 1.0 / prod
     if np.ndim(z) == 0:
         return float(out)
@@ -76,15 +79,26 @@ def shifted_log_weight(m: int, z):
 
     Closed form h'(y) * (1 - sum_{k=1}^{m-1} 1 / prod_{i=1}^{k} iter_log(i, y)).
     The bracket stays above 1 - (m-1)/e_tower(m-1), so the weight is
-    strictly positive on z >= 0.
+    strictly positive on z >= 0.  h'(y) is shifted_log_deriv's value; it
+    and the sum are formed from the same logs, each taken once.  The
+    bracket is void for m <= 1, where the weight is h'(y) itself.
     """
     y = np.asarray(z, dtype=float) + e_tower(m)
-    correction = np.zeros_like(y)
-    prod = np.ones_like(y)
+    dprod, lg = (y if m else np.ones_like(y)), y
     for k in range(1, m):
-        prod = prod * iter_log(k, y)
-        correction = correction + 1.0 / prod
-    out = shifted_log_deriv(m, z) * (1.0 - correction)
+        lg = iter_log(1, lg)
+        dprod *= lg
+        # the running product and sum start at their first terms, since
+        # 1.0 * x == x and 0.0 + x == x
+        if k == 1:
+            prod, correction = lg, 1.0 / lg
+        else:
+            prod *= lg
+            correction += 1.0 / prod
+    out = 1.0 / dprod
+    if m > 1:
+        del lg, prod, dprod
+        out *= 1.0 - correction
     if np.ndim(z) == 0:
         return float(out)
     return out

@@ -199,13 +199,15 @@ class State:
 
 
 @functools.lru_cache(maxsize=8)
-def _neumann_eigenvalues(nx: int, ny: int, hx: float, hy: float) -> np.ndarray:
-    """Eigenvalues of the mirror-Neumann -Lap on the cosine modes (read-only)."""
-    lx = (2.0 - 2.0 * np.cos(math.pi * np.arange(nx) / nx)) / hx ** 2
-    ly = (2.0 - 2.0 * np.cos(math.pi * np.arange(ny) / ny)) / hy ** 2
-    lam = lx[:, None] + ly[None, :]
-    lam.flags.writeable = False
-    return lam
+def _neumann_eigenvalues(nx: int, ny: int, hx: float, hy: float) -> tuple:
+    """Eigenvalues of the mirror-Neumann -Lap on the cosine modes, per axis:
+    a column lx (nx, 1) and a row ly (1, ny), both read-only, whose sum
+    lx + ly is the grid's table.  Only the two vectors stay cached; the
+    table is formed by each solve in the temporary it needs anyway."""
+    lx = ((2.0 - 2.0 * np.cos(math.pi * np.arange(nx) / nx)) / hx ** 2)[:, None]
+    ly = ((2.0 - 2.0 * np.cos(math.pi * np.arange(ny) / ny)) / hy ** 2)[None, :]
+    lx.flags.writeable = ly.flags.writeable = False
+    return lx, ly
 
 
 def _norm2(a: np.ndarray) -> float:
@@ -231,10 +233,12 @@ def _cg_helmholtz(grid: Grid, b: np.ndarray, c0: float, diff: float,
     cannot be certified by any solver.  A non-finite residual also raises.
     """
     import scipy.fft    # here, not at module top: `check` never solves
-    lam = _neumann_eigenvalues(grid.nx, grid.ny, grid.hx, grid.hy)
+    lx, ly = _neumann_eigenvalues(grid.nx, grid.ny, grid.hx, grid.hy)
     coef = scipy.fft.dctn(b, type=2, norm="ortho")
-    denom = diff * lam             # c0 + diff * lam in one temporary, which
-    denom += c0                    # is freed before the inverse transform
+    denom = lx + ly                # c0 + diff * (lx + ly) in one temporary,
+    if diff != 1.0:                # which is freed before the inverse
+        denom *= diff              # transform; 1.0 * y == y: no product
+    denom += c0
     coef /= denom
     del denom
     x = scipy.fft.idctn(coef, type=2, norm="ortho", overwrite_x=True)
@@ -247,7 +251,8 @@ def _cg_helmholtz(grid: Grid, b: np.ndarray, c0: float, diff: float,
     target = tol * _norm2(b)
     if not rn <= target:
         # the rounding floor needs ||x||, so it is only taken when tol misses
-        floor = np.finfo(float).eps * (c0 + diff * float(lam[-1, -1])) * _norm2(x)
+        lam_max = float(lx[-1, 0] + ly[0, -1])
+        floor = np.finfo(float).eps * (c0 + diff * lam_max) * _norm2(x)
         target = max(target, floor)
         if not rn <= target:
             raise RuntimeError(
@@ -412,6 +417,13 @@ def check_time_floor(name: str, value: float, t_end: float) -> None:
                          f"= {tiny:.3g}, got {value}")
 
 
+# a run takes at most STEP_FACTOR * ceil(t_end / dt_max) steps.  The most
+# steps per dt_max step measured on any bundled, benchmark or test config,
+# or on a supercritical blow-up run (128^2, mass 10 in a corner bump,
+# 24,477 steps against 150), is 163; the factor is ten times that, rounded up
+STEP_FACTOR = 2000
+
+
 def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
         num: Numerics = Numerics(), observe_interval: Optional[float] = None) -> RunResult:
     """Integrate to t_end with adaptive CFL-bounded steps: each dt is the
@@ -421,6 +433,10 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
     passes the next observation mark, and at the final time; a diverged
     state exits early with its record included.  The mass removed by the
     clip at zero is summed over every step, observed or not.
+
+    A run that has taken STEP_FACTOR * ceil(t_end / dt_max) steps short of
+    t_end raises RuntimeError: a CFL bound far below dt_max would
+    otherwise keep it stepping without end.
     """
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -430,11 +446,16 @@ def run(grid: Grid, params: ModelParams, ic: InitialData, t_end: float,
     check_time_floor("dt_max", num.dt_max, t_end)
 
     tiny = TIME_RESOLUTION * t_end
+    budget = STEP_FACTOR * math.ceil(t_end / num.dt_max)
     state = initial_state(grid, params, ic)
     consts = DerivedConstants.from_ic(grid, ic)
     result = RunResult(records=[diagnostics.make_record(grid, params, None, state, consts)])
     next_obs = observe_interval
     while state.t < t_end - tiny:
+        if result.steps == budget:
+            # no commas: the text ends up in a sweep.csv cell
+            raise RuntimeError(f"run reached its budget of {budget} steps at "
+                               f"t = {state.t:.6g} short of t_end = {t_end:.6g}")
         prev = state
         state = step(grid, prev, params, min(prev.cfl_dt, num.dt_max, t_end - prev.t), num)
         result.steps += 1

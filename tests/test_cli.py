@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from chemohapto import (ConfigError, Grid, cli, initial_state, load_config,
-                        solve_elliptic_v, verify)
+                        solve_elliptic_v, solver, verify)
 from chemohapto.cli import main as cli_main
 from chemohapto.config import _SCHEMA, build_initial_data, build_run_config
 from chemohapto.io import read_field, read_series, write_field
@@ -911,6 +911,34 @@ def test_sweep_point_solver_error_is_reported(tmp_path, monkeypatch):
     header, row = (out / "sweep.csv").read_text().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["error"].startswith("RuntimeError:")
+
+
+def test_run_whose_cfl_step_vanishes_stops_at_its_step_budget(tmp_path, capsys):
+    # chi = 1e150 puts the CFL step near 1e-150, so t_end = 1e-3 is out of
+    # reach: the run stops after STEP_FACTOR * ceil(t_end / dt_max) steps
+    # with a solver_error report, and the sweep point with an error cell
+    body = BASE.format(out=tmp_path / "runaway").replace("chi = 1.0", "chi = 1e150") \
+        .replace("nx = 16\nny = 16", "nx = 8\nny = 8") \
+        .replace("preset = homogeneous\nu_value = 1.0\nw_value = 0.0",
+                 "preset = gaussian-bump").replace("t_end = 0.1", "t_end = 1e-3")
+    ini = write_ini(tmp_path, body)
+    message = f"run reached its budget of {solver.STEP_FACTOR} steps at t = "
+    assert cli_main(["run", ini]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failed: " + message), err
+    assert "Traceback" not in err and err.count("\n") == 1
+    rep = json.load(open(tmp_path / "runaway" / "report.json"))
+    assert rep["run"]["status"] == "solver_error"
+    assert rep["run"]["error"].startswith(message)
+    assert rep["run"]["error"].endswith("short of t_end = 0.001")
+    assert "," not in rep["run"]["error"]       # it fills one sweep.csv cell
+
+    assert cli_main(["sweep", ini, "--axis", "chi=1e150:1e150:1", "--threads", "1",
+                     "--out", str(tmp_path / "sw")]) == 0
+    with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == "error"
+    assert row["error"] == "RuntimeError: " + rep["run"]["error"]
 
 
 # ------------------------------------------- config-time and condition limits

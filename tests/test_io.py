@@ -1,18 +1,22 @@
 """Field dumps: rejected malformations.  Series tables: exact bytes.  SVG
-heatmaps: byte-stable output, non-finite fields and well-formed titles."""
+heatmaps: byte-stable output, non-finite fields, well-formed titles, and a
+file writer that streams the same bytes."""
 
 import hashlib
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+import chemohapto.io
 from chemohapto import Grid
 from chemohapto.diagnostics import DiagnosticsRecord
-from chemohapto.io import _colors, field_svg, read_field, write_field, write_series
+from chemohapto.io import (_colors, field_svg, read_field, write_field, write_field_svg,
+                           write_series)
 
 
 @pytest.mark.parametrize("mangle, grid, message", [
@@ -146,3 +150,68 @@ def test_field_svg_averages_partial_trailing_blocks(shape):
     svg = field_svg(g, f)
     assert "range [" in svg and ", 5]; 1 non-finite cells in red</text>" in svg
     assert _fills(svg)[-1] == 0xFF0000 and svg.count('fill="#ff0000"') == 1
+
+
+@pytest.mark.parametrize("shape", [(8, 5), (128, 128), (257, 130)],
+                         ids=["small", "at-block-threshold", "blocked"])
+def test_write_field_svg_streams_the_bytes_of_field_svg(tmp_path, shape):
+    # below, at and above the 128-cell block threshold, with non-finite
+    # cells and a title that needs escaping
+    g = Grid(*shape)
+    f = np.random.default_rng(sum(shape)).random(g.shape)
+    f[0, 0], f[-1, -1], f[shape[0] // 2, 1] = np.nan, np.inf, -np.inf
+    title = "u & v <t> (x, t=0.5)"
+    path = tmp_path / "f.svg"
+    write_field_svg(str(path), g, f, title=title)
+    assert path.read_bytes() == field_svg(g, f, title).encode()
+
+
+class _MemoryAtWrite:
+    """A text file that notes the traced memory in use at each write."""
+
+    def __init__(self, fh):
+        self.fh, self.most = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.most = max(self.most, tracemalloc.get_traced_memory()[0])
+        self.fh.write(text)
+
+    def writelines(self, pieces):
+        for text in pieces:
+            self.write(text)
+
+
+def test_write_field_svg_never_holds_the_whole_document(tmp_path, monkeypatch):
+    # a 256^2 field draws 128^2 cells, about 1.1 MiB of text; the writer
+    # writes a column of cells at a time, so at no write does it hold a
+    # quarter of that (about 0.15 MiB: the fills and one column), and its
+    # traced peak is the colour map's and block averaging's arrays
+    g = Grid(256, 256)
+    X, Y = g.mesh()
+    f = np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.03)
+    path = str(tmp_path / "f.svg")
+    document = len(field_svg(g, f, "u"))
+    write_field_svg(path, g, f, title="u")
+    files = []
+
+    def noting_open(*args, **kwargs):
+        files.append(_MemoryAtWrite(open(*args, **kwargs)))
+        return files[-1]
+
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        write_field_svg(path, g, f, title="u")
+        peak = tracemalloc.get_traced_memory()[1] - entry
+        monkeypatch.setattr(chemohapto.io, "open", noting_open, raising=False)
+        write_field_svg(path, g, f, title="u")
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20, peak
+    assert files[0].most - entry < document / 4, (files[0].most - entry, document)

@@ -114,6 +114,25 @@ def test_shifted_log_functions_return_a_float_for_a_scalar(fn, m):
         assert type(out) is float and out == expect
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_shifted_log_functions_match_their_products_term_by_term(m):
+    # the closed forms spelled out, every iterated log taken from y afresh
+    # and every product and sum started at 1 and 0: taking each log once
+    # and starting at the first term gives the same bits
+    z = np.geomspace(1e-300, 1e300, 6001)
+    y = z + e_tower(m)
+    prod = np.ones_like(y)
+    for i in range(m):
+        prod = prod * iter_log(i, y)
+    deriv = 1.0 / prod
+    correction, prod = np.zeros_like(y), np.ones_like(y)
+    for k in range(1, m):
+        prod = prod * iter_log(k, y)
+        correction = correction + 1.0 / prod
+    assert shifted_log_deriv(m, z).tobytes() == deriv.tobytes()
+    assert shifted_log_weight(m, z).tobytes() == (deriv * (1.0 - correction)).tobytes()
+
+
 def test_weight_m1_is_pure_derivative():
     # the correction sum is void at m = 1
     z = np.geomspace(1e-9, 1e9, 50)

@@ -330,9 +330,10 @@ def test_guard_catches_a_wrong_operator_at_the_constant_tolerance(monkeypatch):
     exact = solver._neumann_eigenvalues
 
     def skewed(*key):
-        lam = exact(*key) * (1.0 + 1e-6)
-        lam.flags.writeable = False
-        return lam
+        factors = tuple(a * (1.0 + 1e-6) for a in exact(*key))
+        for a in factors:
+            a.flags.writeable = False
+        return factors
 
     monkeypatch.setattr(solver, "_neumann_eigenvalues", skewed)
     with pytest.raises(RuntimeError, match="residual"):
@@ -360,7 +361,8 @@ def test_missed_target_names_the_larger_of_tol_and_floor(monkeypatch, n, c0, dif
     # still names max(tol * ||b||, eps * (c0 + diff * lam_max) * ||x||)
     g = Grid(n, n)
     b = np.random.default_rng(n).random(g.shape) + 0.5
-    lam = solver._neumann_eigenvalues(g.nx, g.ny, g.hx, g.hy)
+    lx, ly = solver._neumann_eigenvalues(g.nx, g.ny, g.hx, g.hy)
+    lam = lx + ly
     exact = scipy.fft.idctn
 
     def corrupted(*a, **kw):
@@ -388,7 +390,8 @@ def test_tol_below_rounding_floor_is_met_at_the_floor():
     u = np.random.default_rng(4).random(g.shape)
     v = solve_elliptic_v(g, u, tol=1e-14)
     r = u - (v - g.laplacian_neumann(v))
-    lam = solver._neumann_eigenvalues(g.nx, g.ny, g.hx, g.hy)
+    lx, ly = solver._neumann_eigenvalues(g.nx, g.ny, g.hx, g.hy)
+    lam = lx + ly
     floor = np.finfo(float).eps * (1.0 + lam.max()) * np.linalg.norm(v)
     assert 1e-14 * np.linalg.norm(u) < np.linalg.norm(r) <= floor
 
@@ -409,7 +412,10 @@ def test_cg_helmholtz_is_one_cosine_solve_bitwise():
             for _ in range(2):      # the second call reuses the cached eigenvalues
                 assert np.array_equal(solver._cg_helmholtz(g, b, c0, diff, 1e-10), want)
                 assert np.array_equal(b, b_in)
-    assert not solver._neumann_eigenvalues(12, 7, 1.0 / 12, 1.0 / 7).flags.writeable
+    # the cache holds the two per-axis factors, neither of them writable
+    lx, ly = solver._neumann_eigenvalues(12, 7, 1.0 / 12, 1.0 / 7)
+    assert lx.shape == (12, 1) and ly.shape == (1, 7)
+    assert not lx.flags.writeable and not ly.flags.writeable
 
 
 # ---------------------------------------------------------------- stepping
@@ -648,6 +654,23 @@ def test_an_extinct_step_skips_the_transport_the_solves_and_the_reaction(
     state.u[5, 5] = 1.0
     step(g, state, params, 1e-2)
     assert calls == {"_cg_helmholtz": 2, "taxis_divergence": 1, "f": 1}
+
+
+def test_run_stops_at_step_factor_times_its_dt_max_steps(monkeypatch):
+    # the budget is STEP_FACTOR * ceil(t_end / dt_max): with a factor of 1 a
+    # run limited by dt_max alone takes exactly its budget, ceil(4.5) = 5
+    # steps, and a CFL-limited one raises once it has taken as many
+    monkeypatch.setattr(solver, "STEP_FACTOR", 1)
+    g = Grid(16, 16)
+    ic = bump_ic(g, mass=4.0, sigma=0.08)
+    num = Numerics(dt_max=1e-3)
+    free = ModelParams(chi=0.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics())
+    assert run(g, free, ic, t_end=4.5e-3, num=num).steps == 5
+    taxis = ModelParams(chi=20.0, xi=0.0, tau=0.0, kinetics=ZeroKinetics())
+    assert initial_state(g, taxis, ic).cfl_dt < 4.5e-4
+    with pytest.raises(RuntimeError, match=r"^run reached its budget of 5 steps "
+                                           r"at t = \S+ short of t_end = 0\.0045$"):
+        run(g, taxis, ic, t_end=4.5e-3, num=num)
 
 
 def test_run_extinct_t_is_the_t_of_the_first_empty_state():
