@@ -327,8 +327,11 @@ def build_initial_data(cfg: RunConfig) -> InitialData:
     """Materialize the configured IC preset on the configured grid.  v0
     stays None unless ic.v0_path or (tau > 0) ic.v_value sets it; a run
     then starts at the elliptic equilibrium of u0, which check never solves."""
+    # the presets are formed from the 1-D cell centres, broadcast where x
+    # meets y: the same operations on the same operands as on a mesh, so
+    # the same bits, without two field-sized coordinate arrays
     grid, spec, tau = cfg.grid, cfg.ic, cfg.params.tau
-    X, Y = grid.mesh()
+    x, y = grid.x[:, None], grid.y[None, :]
     v0 = None
 
     if spec.preset == "homogeneous":
@@ -336,8 +339,8 @@ def build_initial_data(cfg: RunConfig) -> InitialData:
         w0 = np.full(grid.shape, spec.w_value)
     elif spec.preset == "cosine-perturbation":
         mx, my = spec.modes
-        u0 = spec.u_base + spec.u_eps * np.cos(mx * np.pi * X / grid.Lx) \
-            * np.cos(my * np.pi * Y / grid.Ly)
+        u0 = spec.u_base + spec.u_eps * np.cos(mx * np.pi * x / grid.Lx) \
+            * np.cos(my * np.pi * y / grid.Ly)
         if np.min(u0) < 0:
             raise ConfigError(
                 f"{cfg.origin}: ic.u_eps too large, u0 dips to {np.min(u0):.3g} < 0"
@@ -347,7 +350,7 @@ def build_initial_data(cfg: RunConfig) -> InitialData:
         u0 = np.zeros(grid.shape)
         for (cx, cy) in spec.centers:
             u0 += spec.amplitude * np.exp(
-                -((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * spec.width ** 2))
+                -((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * spec.width ** 2))
         w0 = np.full(grid.shape, spec.w_value)
     elif spec.preset == "file":
         from .io import read_field

@@ -124,11 +124,24 @@ _NONFINITE_RGB = 0xFF0000
 def _colors(t: np.ndarray) -> np.ndarray:
     """Map positions t (clipped to [0, 1]) to packed 0xRRGGBB integers;
     the components round half to even."""
-    pos = np.clip(t, 0.0, 1.0) * (len(_STOPS) - 1)
-    i = np.minimum(pos.astype(int), len(_STOPS) - 2)
-    frac = (pos - i)[..., None]
-    rgb = np.rint(_STOPS[i] * (1.0 - frac) + _STOPS[i + 1] * frac).astype(int)
-    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    frac = np.clip(t, 0.0, 1.0) * (len(_STOPS) - 1)
+    i = frac.astype(int)
+    np.minimum(i, len(_STOPS) - 2, out=i)
+    frac -= i                       # the position between stops i and i + 1
+    rest = 1.0 - frac
+    # one channel at a time, so no (cells x 3) array is ever formed
+    packed = np.zeros(i.shape, dtype=int)
+    for lo, hi in zip(_STOPS[:-1].T, _STOPS[1:].T):
+        chan = lo[i]
+        chan *= rest
+        upper = hi[i]
+        upper *= frac
+        chan += upper
+        del upper                   # freed before the cast below allocates
+        np.rint(chan, out=chan)
+        packed <<= 8
+        packed |= chan.astype(int)
+    return packed
 
 
 def _xml_text(s: str) -> str:
@@ -155,15 +168,16 @@ def _svg_chunks(grid: Grid, f: np.ndarray, title: str):
     gnx, gny = g.shape
     finite = np.isfinite(g)
     values = g[finite]
+    bad = g.size - values.size
     lo, hi = math.nan, math.nan
     if values.size:
         lo, hi = float(np.min(values)), float(np.max(values))
+    del values
     span = hi - lo if hi > lo else 1.0
     fills = _colors(np.where(finite, (g - lo) / span, 0.0))
     fills[~finite] = _NONFINITE_RGB
-    bad = g.size - values.size
     note = f"; {bad} non-finite cells in red" if bad else ""
-    del g, finite, values           # the cells below need their fills only
+    del g, finite                   # the cells below need their fills only
 
     w_px, h_px = 560, 560
     pad, head = 10, 34

@@ -141,8 +141,13 @@ def compatibility_constant(grid: Grid, w0: np.ndarray) -> float:
     """
     floor = 1e-14
     ratios = [0.0]
-    for d, wm in zip(grid.face_diff(w0), grid.face_means(w0)):
-        g2 = d ** 2
+    # one axis at a time, its faces taken along the first axis of w0 or of
+    # its transpose: face_diff's and face_means' values, of one axis only
+    for f, h in ((w0, grid.hx), (w0.T, grid.hy)):
+        g2 = f[1:] - f[:-1]
+        g2 /= h
+        g2 *= g2
+        wm = 0.5 * (f[:-1] + f[1:])
         bad = (wm <= floor) & (g2 > floor)
         if np.any(bad):
             raise ValueError("w0 has a gradient on a face where w0 vanishes; no finite A works")

@@ -72,3 +72,14 @@ def _ref_f(kin, s, w):
 def ref_f():
     """The old source evaluation, called as ref_f(kinetics, s, w)."""
     return _ref_f
+
+
+@pytest.fixture
+def no_least_squares(monkeypatch):
+    """numpy's least-squares routines replaced by ones that fail the test
+    when called: no command may load LAPACK."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK least-squares routine was called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)

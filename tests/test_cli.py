@@ -1,6 +1,8 @@
 """Config parsing, initial-condition presets, and the command-line entry."""
 
+import ast
 import csv
+import glob
 import json
 import math
 import multiprocessing
@@ -222,10 +224,50 @@ def test_cosine_preset_values(tmp_path, capsys):
     X, Y = cfg.grid.mesh()
     expect = 2.0 + 0.5 * np.cos(2 * np.pi * X / 2.0) * np.cos(3 * np.pi * Y / 0.5)
     ic = build_initial_data(cfg)
-    np.testing.assert_allclose(ic.u0, expect, rtol=1e-15, atol=0.0)
+    assert ic.u0.tobytes() == expect.tobytes()
     assert np.all(ic.w0 == 0.0)
     assert cli_main(["check", ini]) == 0
     assert "case" in capsys.readouterr().out
+
+
+def _mesh_u0(cfg):
+    """u0 as the presets formed it on two coordinate meshes."""
+    g, spec = cfg.grid, cfg.ic
+    X, Y = g.mesh()
+    if spec.preset == "cosine-perturbation":
+        mx, my = spec.modes
+        u0 = spec.u_base + spec.u_eps * np.cos(mx * np.pi * X / g.Lx) \
+            * np.cos(my * np.pi * Y / g.Ly)
+    else:
+        u0 = np.zeros(g.shape)
+        for (cx, cy) in spec.centers:
+            u0 += spec.amplitude * np.exp(
+                -((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * spec.width ** 2))
+    if spec.noise > 0.0:
+        rng = np.random.default_rng(spec.seed)
+        u0 = u0 * (1.0 + spec.noise * (2.0 * rng.random(g.shape) - 1.0))
+    if spec.mass is not None:
+        u0 = u0 * (spec.mass / g.integrate(u0))
+    return u0
+
+
+@pytest.mark.parametrize("ic, grid", [
+    ("preset = gaussian-bump\ncenters = 0.3:0.6", "nx = 16\nny = 16"),
+    ("preset = gaussian-bump\ncenters = 0.2:0.1, 1.5:0.4, 0.9:0.25\namplitude = 2.5\n"
+     "width = 0.15\nnoise = 0.05\nseed = 3\nmass = 2.0", "nx = 24\nny = 10\nlx = 1.7\nly = 0.6"),
+    ("preset = cosine-perturbation\nu_base = 2.0\nu_eps = 0.5\nmodes = 2,3\nnoise = 0.1\n"
+     "mass = 3.0", "nx = 20\nny = 12\nlx = 1.3\nly = 0.7"),
+], ids=["bump", "bumps-noise-mass", "cosine-noise-mass"])
+def test_initial_data_matches_the_mesh_formulas_bitwise(tmp_path, ic, grid):
+    # the presets read the 1-D cell centres, broadcast; a mesh gives the
+    # same operations on the same operands
+    body = BASE.format(out=tmp_path).replace(
+        "preset = homogeneous", ic).replace("nx = 16\nny = 16", grid)
+    cfg = load_config(write_ini(tmp_path, body))
+    u0 = build_initial_data(cfg).u0
+    want = _mesh_u0(cfg)
+    assert u0.shape == want.shape == cfg.grid.shape
+    assert u0.tobytes() == want.tobytes()
 
 
 def test_cosine_preset_rejects_negative_dip(tmp_path):
@@ -497,6 +539,38 @@ def test_scipy_fft_loads_on_the_first_solve(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("loaded")]
     assert lines == ["loaded False False True", "loaded False", "loaded True"]
+
+
+def test_check_calls_no_least_squares_routine(tmp_path, no_least_squares):
+    # iterlog k = 2 and k = 3 both extrapolate a damping-rate tail
+    assert cli_main(["check", os.path.join(CONFIGS, "iterlog-tau0.ini"),
+                     "--out", str(tmp_path / "k2")]) == 0
+    assert cli_main(["check", write_ini(tmp_path, _iterlog_k3(tmp_path / "k3"))]) == 0
+
+
+_BLAS_NAMES = {"polyfit", "lstsq", "linalg", "dot", "vdot", "matmul", "tensordot",
+               "inner", "outer"}
+
+
+def test_source_makes_no_blas_or_lapack_call():
+    # the package's array work is elementwise or a reduction; a matrix
+    # product or a dense solve would load BLAS or LAPACK buffers into
+    # every process that reaches it
+    for path in glob.glob(os.path.join(_SRC, "chemohapto", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(a.name for a in node.names)
+                names.update((getattr(node, "module", None) or "").split("."))
+            elif isinstance(getattr(node, "op", None), ast.MatMult):
+                names.add("@")
+        assert names & (_BLAS_NAMES | {"@"}) == set(), path
 
 
 def test_sweep_single_point_matches_run(tmp_path):

@@ -215,3 +215,43 @@ def test_write_field_svg_never_holds_the_whole_document(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert peak < 2.5 * 2 ** 20, peak
     assert files[0].most - entry < document / 4, (files[0].most - entry, document)
+
+
+def _colors_three_channels(t):
+    """_colors as it stood when it formed all three channels in one
+    (cells x 3) array."""
+    stops = chemohapto.io._STOPS
+    pos = np.clip(t, 0.0, 1.0) * (len(stops) - 1)
+    i = np.minimum(pos.astype(int), len(stops) - 2)
+    frac = (pos - i)[..., None]
+    rgb = np.rint(stops[i] * (1.0 - frac) + stops[i + 1] * frac).astype(int)
+    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+
+
+@pytest.mark.parametrize("t", [
+    np.random.default_rng(21).random((128, 128)),
+    np.random.default_rng(22).normal(0.5, 1.0, (7, 5)),      # outside [0, 1] too
+    np.linspace(0.0, 1.0, 10001),                             # through every stop
+], ids=["128x128", "7x5-unclipped", "ramp"])
+def test_colors_one_channel_at_a_time_keep_the_bits(t):
+    got, want = _colors(t), _colors_three_channels(t)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_heatmap_of_128_squared_cells_stays_under_a_mebibyte(tmp_path):
+    # the largest heatmap that is drawn cell for cell: its colour map takes
+    # a few cells-sized arrays, one channel at a time (0.90 MiB traced in
+    # all), where a (cells x 3) map took 1.84 MiB
+    g = Grid(128, 128)
+    f = np.random.default_rng(4).random(g.shape)
+    f[3, 5] = np.nan
+    path = str(tmp_path / "f.svg")
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        write_field_svg(path, g, f, title="u")
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20, peak

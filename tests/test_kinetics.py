@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,12 +13,15 @@ from chemohapto import kinetics
 from chemohapto import (
     TOWER_MAX,
     Grid,
+    InitialData,
     IteratedLogKinetics,
     Kinetics,
     LogisticKinetics,
     LogLogSubLogistic,
+    ModelParams,
     PowerSubLogistic,
     ZeroKinetics,
+    check_boundedness,
     damping_rate_estimate,
     default_schedule,
     e_tower,
@@ -462,17 +466,17 @@ PINNED = (
     (IteratedLogKinetics(1, 2.5), 0.2126818602271107, 2.5, 4.0,
      (2.499998629396387, math.inf, math.inf)),
     (IteratedLogKinetics(2, 1.0), -2.718281100828441, 1.0, 4.0,
-     (4.286635636652608e-06, 0.9999961999198996, math.inf)),
+     (4.286635637118508e-06, 0.9999961999198996, math.inf)),
     (IteratedLogKinetics(2, 2.5), -6.795702748338733, 2.5, 4.0,
-     (4.302325975456319e-06, 2.499996184790049, math.inf)),
+     (4.302325976368593e-06, 2.499996184790049, math.inf)),
     (IteratedLogKinetics(3, 1.0), -181.1287951554475, 1.0, 4.0,
-     (0.0, 1.3830537425255333e-05, 0.9999999713948262)),
+     (0.0, 1.3830537426207101e-05, 0.9999999713948262)),
     (IteratedLogKinetics(3, 2.5), -457.0142047156646, 2.5, 4.0,
-     (0.0, 1.4006853759399621e-05, 2.4999999712302343)),
+     (0.0, 1.4006853760850646e-05, 2.4999999712302343)),
     (IteratedLogKinetics(4, 1.0), -3757477577.467387, 1.0, 4.0,
-     (0.0, 0.0, 0.001998405239770165)),
+     (0.0, 0.0, 0.00199840523977457)),
     (IteratedLogKinetics(4, 2.5), -9393693979.443607, 2.5, 4.0,
-     (0.0, 0.0, 0.004995944941124576)),
+     (0.0, 0.0, 0.00499594494112543)),
 )
 
 
@@ -562,6 +566,44 @@ MIXED = (
     Kinetics(c=1.5, gamma=0.7, depths=(1, 2)),
 )
 ALL_SOURCES = tuple(kin for kin, *_ in PINNED) + MIXED
+
+
+def _exact_intercept(t, y):
+    """Intercept of the least-squares line through the float samples (t, y),
+    in rational arithmetic."""
+    t = [Fraction(v) for v in t.tolist()]
+    y = [Fraction(v) for v in y.tolist()]
+    t_mean, y_mean = sum(t) / len(t), sum(y) / len(y)
+    slope = (sum((a - t_mean) * (b - y_mean) for a, b in zip(t, y))
+             / sum((a - t_mean) ** 2 for a in t))
+    return y_mean - slope * t_mean
+
+
+def test_tail_fit_is_the_exact_least_squares_line(monkeypatch):
+    # np.polyfit's intercept was 1.77e-10 off on iterlog k = 2, mu = 2.5;
+    # the closed form is within 3.6e-11 on every source that reaches it
+    fit = kinetics._line_intercept
+    samples = []
+    monkeypatch.setattr(kinetics, "_line_intercept",
+                        lambda t, y: samples.append((t.copy(), y.copy())) or fit(t, y))
+    for kin in ALL_SOURCES:
+        for r in range(1, TOWER_MAX + 1):
+            damping_rate_estimate(kin, r)
+    # iterlog k = 2 at r = 1, k = 3 at r <= 2, k = 4 at every r (mu = 1 and
+    # 2.5 each), and the first and last MIXED sources at every r
+    assert len(samples) == 18
+    for t, y in samples:
+        exact = _exact_intercept(t, y)
+        assert abs(Fraction(fit(t, y)) - exact) <= abs(exact) * Fraction(1e-10), exact
+
+
+def test_the_condition_calls_no_least_squares_routine(no_least_squares):
+    g = Grid(16, 16)
+    ic = InitialData(u0=np.ones(g.shape), w0=np.full(g.shape, 0.5))
+    for kin in ALL_SOURCES:
+        report = check_boundedness(g, ModelParams(chi=1.0, xi=0.0, tau=0.0, kinetics=kin), ic)
+        assert len(report.mu_r) == TOWER_MAX
+
 
 _SPECIAL_S = (0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-17, 1e-16,
               1e-9, 0.5, 1.0, 7.0, 1e8, 1e300, -1.0, math.nan)

@@ -250,6 +250,22 @@ def test_initial_data_rejects_each_bad_field(fields, tau, message):
         InitialData(**data).validate(g, 0.0)
 
 
+def _two_axis_constant(grid, w0):
+    """compatibility_constant as it stood when it took both axes' face
+    differences and face means at once."""
+    floor = 1e-14
+    ratios = [0.0]
+    for d, wm in zip(grid.face_diff(w0), grid.face_means(w0)):
+        g2 = d ** 2
+        bad = (wm <= floor) & (g2 > floor)
+        if np.any(bad):
+            raise ValueError("w0 has a gradient on a face where w0 vanishes; no finite A works")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(wm > floor, g2 / np.maximum(wm, floor), 0.0)
+        ratios.append(float(np.max(ratio)))
+    return max(ratios) * (1.0 + 1e-12)
+
+
 def test_gradient_compatibility_constant():
     g = Grid(32, 32)
     X, _ = g.mesh()
@@ -259,6 +275,20 @@ def test_gradient_compatibility_constant():
     dx, dy = g.face_diff(w0)
     assert np.all(dx ** 2 <= A * 0.5 * (w0[:-1, :] + w0[1:, :]))
     assert np.all(dy ** 2 <= A * 0.5 * (w0[:, :-1] + w0[:, 1:]))
+
+    # one axis at a time gives the two-axis formula's bits: either axis
+    # steeper, zero faces, and w0 vanishing where it is flat
+    rng = np.random.default_rng(12)
+    g = Grid(24, 10, 2.0, 0.3)
+    X, Y = g.mesh()
+    flat = np.full(g.shape, 0.5)
+    vanishing = np.where(X < 1.0, 0.0, X - 1.0) ** 2 + 0.1 * Y
+    vanishing[:12, :] = 0.0
+    for w0 in (w0[:24, :10], 0.5 + 0.4 * np.cos(np.pi * X / 2.0),
+               0.5 + 0.4 * np.cos(np.pi * Y / 0.3), rng.random(g.shape), flat, vanishing):
+        A = compatibility_constant(g, w0)
+        assert A == _two_axis_constant(g, w0)
+        assert A > 0.0 or w0 is flat
 
 
 def test_gradient_where_w0_vanishes_is_rejected():
@@ -271,6 +301,15 @@ def test_gradient_where_w0_vanishes_is_rejected():
         compatibility_constant(g, w0)
     with pytest.raises(InitialDataError):
         InitialData(u0=np.ones(g.shape), w0=w0).validate(g, 0.0)
+    # the same across x and across y of a 4 x 6 grid, taken one axis at a
+    # time and both at once
+    g = Grid(4, 6, 1e-7, 1.5e-7)
+    for edge in ((0, slice(None)), (slice(None), 0)):
+        w0 = np.zeros(g.shape)
+        w0[edge] = 2e-14
+        for constant in (compatibility_constant, _two_axis_constant):
+            with pytest.raises(ValueError, match="no finite A works"):
+                constant(g, w0)
 
 
 # ---------------------------------------------------------------- elliptic
